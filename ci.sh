@@ -53,7 +53,11 @@
 #      least one tunable, then a perf gate on the committed
 #      BENCH_autotune.json: tuned autonuma must be >= 1.0x the default
 #      configuration on every committed cell and keep a >5% win on at
-#      least one.
+#      least one;
+#  11. the benchmark's own tests (`perfbench/run.py --test`): every
+#      workload's simulated statistics must be bit-identical across
+#      instances and every output must pass its checker. The benchmark
+#      builds into its own .bench_build/.
 #
 # All builds live in their own build directories so they never disturb
 # an existing developer build/.
@@ -62,19 +66,19 @@ cd "$(dirname "$0")"
 
 JOBS=$(nproc 2>/dev/null || echo 4)
 
-echo "=== [1/10] tier-1: RelWithDebInfo -Werror build + ctest ==="
+echo "=== [1/11] tier-1: RelWithDebInfo -Werror build + ctest ==="
 cmake -B build-ci -S . -DMEMTIER_WERROR=ON
 cmake --build build-ci -j "$JOBS"
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
-echo "=== [2/10] sanitizers: ASan/UBSan build + ctest ==="
+echo "=== [2/11] sanitizers: ASan/UBSan build + ctest ==="
 cmake -B build-asan -S . -DMEMTIER_WERROR=ON \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "=== [3/10] serving smoke: short tail sweep under ASan/UBSan ==="
+echo "=== [3/11] serving smoke: short tail sweep under ASan/UBSan ==="
 # One trial, two policies, THP off: small enough to stay fast under
 # the sanitizers, big enough to drive the generator, both stores, the
 # LSM flush/compaction path and the phase histograms end to end.
@@ -83,7 +87,7 @@ echo "=== [3/10] serving smoke: short tail sweep under ASan/UBSan ==="
     --out=build-asan/BENCH_serving_smoke.json \
     --csv=build-asan/serving_smoke.csv
 
-echo "=== [4/10] chaos: invariant checker on + fault plan, tier-1 binaries ==="
+echo "=== [4/11] chaos: invariant checker on + fault plan, tier-1 binaries ==="
 # MEMTIER_CHECK_INVARIANTS=ON arms the kernel invariant checker in
 # every Engine (observer-only: results stay bit-identical), and
 # MEMTIER_FAULT_PLAN overrides the chaos-aware tests' default plan.
@@ -109,7 +113,7 @@ print(f"scale smoke: {row['pgpromote']} promotions, dram_hit "
       f"{row['dram_hit_fraction']:.3f} under the invariant checker")
 EOF
 
-echo "=== [5/10] thp: MEMTIER_THP=ON + invariant checker, tier-1 binaries ==="
+echo "=== [5/11] thp: MEMTIER_THP=ON + invariant checker, tier-1 binaries ==="
 # MEMTIER_THP=ON force-enables the THP model in every Engine; the
 # extended invariant sweep (PMD/PTE consistency, THP counter identity)
 # runs continuously. Golden-value tests captured with THP off skip.
@@ -117,7 +121,7 @@ MEMTIER_THP=ON \
 MEMTIER_CHECK_INVARIANTS=ON \
     ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
-echo "=== [6/10] scalar path: MEMTIER_SCALAR_PATH=ON, tier-1 binaries ==="
+echo "=== [6/11] scalar path: MEMTIER_SCALAR_PATH=ON, tier-1 binaries ==="
 # MEMTIER_SCALAR_PATH=ON forces the element-at-a-time reference path in
 # every Engine. The hotpath golden tests assert exact captured
 # observables in both modes, so any scalar-vs-batched divergence fails
@@ -125,7 +129,7 @@ echo "=== [6/10] scalar path: MEMTIER_SCALAR_PATH=ON, tier-1 binaries ==="
 MEMTIER_SCALAR_PATH=ON \
     ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
-echo "=== [7/10] perf gate: hotpath throughput vs committed baseline ==="
+echo "=== [7/11] perf gate: hotpath throughput vs committed baseline ==="
 # Re-measure the batched hot path at the baseline's parameters and
 # fail on a >20% throughput regression. The bench itself also fails
 # when the scalar and batched paths stop being bit-identical, so this
@@ -218,7 +222,7 @@ if ratio < 0.8:
              "is intentional)")
 EOF
 
-echo "=== [8/10] ecc chaos: memory failures under the invariant checker ==="
+echo "=== [8/11] ecc chaos: memory failures under the invariant checker ==="
 # The BFS side: the memory-failure end-to-end tests replay an
 # ecc_ce/ecc_ue plan twice and assert bit-identity plus nonzero
 # hwpoison counters; forcing the checker on makes every other test in
@@ -253,7 +257,7 @@ print(f"ecc gate: {hot['frames_retired']} frames retired, "
       f"{float(hot['availability']):.4f} (baseline clean)")
 EOF
 
-echo "=== [9/10] tsan matrix: ThreadSanitizer build + threaded cells ==="
+echo "=== [9/11] tsan matrix: ThreadSanitizer build + threaded cells ==="
 # The host executor shares the engine with real std::threads; TSan
 # verifies the park/round protocol's happens-before edges for real.
 cmake -B build-tsan -S . -DMEMTIER_WERROR=ON \
@@ -291,7 +295,7 @@ if ! diff build-tsan/determinism_a.csv build-tsan/determinism_b.csv; then
 fi
 echo "tsan matrix: determinism cell identical"
 
-echo "=== [10/10] autotune: tuner smoke + tuned-vs-default perf gate ==="
+echo "=== [10/11] autotune: tuner smoke + tuned-vs-default perf gate ==="
 # Smoke: one graph cell and one serving cell under the invariant
 # checker. The run itself proves tuning keeps every kernel invariant;
 # the assertion below proves the tuner actually moved something (an
@@ -337,5 +341,8 @@ if best["speedup"] <= 1.05:
              f"{best['speedup']:.3f}x (need >1.05x on at least one "
              f"cell)")
 EOF
+
+echo "=== [11/11] benchmark: perfbench gtests ==="
+python3 perfbench/run.py --test
 
 echo "ci.sh: all gates passed"

@@ -9,42 +9,4 @@ Rng::Rng(std::uint64_t seed)
         word = sm.next();
 }
 
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const std::uint64_t t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
-{
-    if (bound == 0)
-        return 0;
-    // 128-bit multiply-shift mapping (Lemire); slight modulo bias is
-    // irrelevant at our bounds (< 2^40) but the mapping is branch-free.
-    const unsigned __int128 product =
-        static_cast<unsigned __int128>(next()) * bound;
-    return static_cast<std::uint64_t>(product >> 64);
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
-}
-
 }  // namespace memtier

@@ -52,6 +52,18 @@ struct FileCloser
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+/** Pairs per host I/O buffer (256 KiB). */
+constexpr std::size_t kBufPairs = 1 << 15;
+
+/** Close a file written to, failing if its buffered tail is lost
+ *  (ENOSPC, EIO): a short bucket would silently drop edges. */
+void
+closeWritten(FilePtr &f, const std::string &path)
+{
+    if (std::fclose(f.release()) != 0)
+        fatal("bigraph: cannot flush %s", path.c_str());
+}
+
 std::string
 specKey(const BigraphSpec &s)
 {
@@ -100,6 +112,26 @@ readPairFile(const std::string &path)
     return pairs;
 }
 
+/** Call @p fn on every packed pair of @p path, streamed through
+ *  @p buf. */
+template <typename Fn>
+void
+forEachPair(const std::string &path, std::vector<std::uint64_t> &buf,
+            Fn &&fn)
+{
+    FilePtr f(std::fopen(path.c_str(), "rb"));
+    if (!f)
+        fatal("bigraph: cannot open %s", path.c_str());
+    std::size_t got;
+    while ((got = std::fread(buf.data(), sizeof(std::uint64_t),
+                             buf.size(), f.get())) > 0) {
+        for (std::size_t i = 0; i < got; ++i)
+            fn(buf[i]);
+    }
+    if (std::ferror(f.get()))
+        fatal("bigraph: cannot read %s", path.c_str());
+}
+
 /**
  * Phase 1: stream the generator once, scattering both directions of
  * every non-loop edge into the owning segment's bucket file through
@@ -118,7 +150,6 @@ spillEdges(const BigraphSpec &spec, BigraphArtifacts &art)
             fatal("bigraph: cannot create %s", art.segFiles[k].c_str());
     }
 
-    constexpr std::size_t kBufPairs = 1 << 15;  // 256 KiB per bucket.
     std::vector<std::vector<std::uint64_t>> bufs(s_count);
     for (auto &b : bufs)
         b.reserve(kBufPairs);
@@ -153,6 +184,7 @@ spillEdges(const BigraphSpec &spec, BigraphArtifacts &art)
     for (std::uint32_t k = 0; k < s_count; ++k) {
         writeAll(files[k].get(), bufs[k].data(), bufs[k].size(),
                  art.segFiles[k]);
+        closeWritten(files[k], art.segFiles[k]);
         spilled[k] += bufs[k].size();
         art.maxSpillBytes =
             std::max(art.maxSpillBytes,
@@ -161,24 +193,71 @@ spillEdges(const BigraphSpec &spec, BigraphArtifacts &art)
 }
 
 /**
- * Phase 2: per bucket, sort by (u, v), deduplicate, rewrite in place
- * and record the edge counts -- global dedup falls out of per-bucket
- * dedup because a directed edge's bucket is a function of its source.
+ * Phase 2: per bucket, counting-sort the pairs by source row, sort and
+ * deduplicate each row, rewrite the bucket in (u, v) order and record
+ * the edge counts -- global dedup falls out of per-bucket dedup because
+ * a directed edge's bucket is a function of its source. Host memory is
+ * one 32-bit destination per pair plus one offset per row.
  */
 void
 sortAndDedup(BigraphArtifacts &art)
 {
+    std::vector<std::uint64_t> buf(kBufPairs);
+    std::vector<std::int64_t> row_start;
+    std::vector<NodeId> adj;
     for (std::uint32_t k = 0; k < art.segments; ++k) {
-        std::vector<std::uint64_t> pairs =
-            readPairFile(art.segFiles[k]);
-        std::sort(pairs.begin(), pairs.end());
-        pairs.erase(std::unique(pairs.begin(), pairs.end()),
-                    pairs.end());
-        FilePtr f(std::fopen(art.segFiles[k].c_str(), "wb"));
+        const std::string &path = art.segFiles[k];
+        const NodeId first = static_cast<NodeId>(
+            static_cast<std::int64_t>(k) * art.rowsPerSegment);
+        const auto rows = static_cast<std::size_t>(
+            std::min<std::int64_t>(art.rowsPerSegment,
+                                   art.nodes - first));
+
+        // Pass 1: row counts, prefix-summed into row starts.
+        row_start.assign(rows + 1, 0);
+        forEachPair(path, buf, [&](std::uint64_t p) {
+            const auto r =
+                static_cast<std::size_t>(pairU(p) - first);
+            MEMTIER_ASSERT(r < rows, "bigraph: pair outside its bucket");
+            ++row_start[r + 1];
+        });
+        for (std::size_t r = 1; r <= rows; ++r)
+            row_start[r] += row_start[r - 1];
+
+        // Pass 2: scatter destinations, using row_start[r] as row r's
+        // write cursor; afterwards it holds the end of row r.
+        adj.resize(static_cast<std::size_t>(row_start[rows]));
+        forEachPair(path, buf, [&](std::uint64_t p) {
+            const auto r =
+                static_cast<std::size_t>(pairU(p) - first);
+            adj[static_cast<std::size_t>(row_start[r]++)] = pairV(p);
+        });
+
+        FilePtr f(std::fopen(path.c_str(), "wb"));
         if (!f)
-            fatal("bigraph: cannot rewrite %s", art.segFiles[k].c_str());
-        writeAll(f.get(), pairs.data(), pairs.size(), art.segFiles[k]);
-        art.edgeCounts[k] = static_cast<std::int64_t>(pairs.size());
+            fatal("bigraph: cannot rewrite %s", path.c_str());
+        std::size_t fill = 0;
+        std::int64_t kept = 0;
+        NodeId *const row = adj.data();
+        std::int64_t begin = 0;
+        for (std::size_t r = 0; r < rows; ++r) {
+            const std::int64_t end = row_start[r];
+            std::sort(row + begin, row + end);
+            const NodeId *const last = std::unique(row + begin, row + end);
+            const NodeId u = first + static_cast<NodeId>(r);
+            for (const NodeId *v = row + begin; v != last; ++v) {
+                buf[fill++] = packPair(u, *v);
+                if (fill == buf.size()) {
+                    writeAll(f.get(), buf.data(), fill, path);
+                    fill = 0;
+                }
+            }
+            kept += last - (row + begin);
+            begin = end;
+        }
+        writeAll(f.get(), buf.data(), fill, path);
+        closeWritten(f, path);
+        art.edgeCounts[k] = kept;
     }
     art.edgeBases.assign(art.segments + 1, 0);
     for (std::uint32_t k = 0; k < art.segments; ++k)

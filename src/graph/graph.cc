@@ -12,37 +12,53 @@ CsrGraph::fromEdgeList(NodeId num_nodes, const EdgeList &edges)
 {
     MEMTIER_ASSERT(num_nodes > 0, "graph needs at least one vertex");
 
-    // Symmetrize: store both directions of every undirected edge.
-    std::vector<Edge> directed;
-    directed.reserve(edges.size() * 2);
+    // Counting sort on the source row. Symmetrize: count both
+    // directions of every undirected edge, dropping self loops.
+    CsrGraph g;
+    g.n = num_nodes;
+    g.offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
     for (const Edge &e : edges) {
         MEMTIER_ASSERT(e.u >= 0 && e.u < num_nodes, "vertex out of range");
         MEMTIER_ASSERT(e.v >= 0 && e.v < num_nodes, "vertex out of range");
         if (e.u == e.v)
-            continue;  // Drop self loops.
-        directed.push_back({e.u, e.v});
-        directed.push_back({e.v, e.u});
-    }
-    std::sort(directed.begin(), directed.end(),
-              [](const Edge &a, const Edge &b) {
-                  return a.u != b.u ? a.u < b.u : a.v < b.v;
-              });
-    directed.erase(std::unique(directed.begin(), directed.end(),
-                               [](const Edge &a, const Edge &b) {
-                                   return a.u == b.u && a.v == b.v;
-                               }),
-                   directed.end());
-
-    CsrGraph g;
-    g.n = num_nodes;
-    g.offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
-    for (const Edge &e : directed)
+            continue;
         ++g.offsets_[static_cast<std::size_t>(e.u) + 1];
+        ++g.offsets_[static_cast<std::size_t>(e.v) + 1];
+    }
     for (std::size_t i = 1; i < g.offsets_.size(); ++i)
         g.offsets_[i] += g.offsets_[i - 1];
-    g.neigh.reserve(directed.size());
-    for (const Edge &e : directed)
-        g.neigh.push_back(e.v);
+
+    // Scatter, using offsets_[u] as row u's write cursor: afterwards
+    // offsets_[u] holds the end of row u.
+    g.neigh.resize(static_cast<std::size_t>(g.offsets_.back()));
+    for (const Edge &e : edges) {
+        if (e.u == e.v)
+            continue;
+        g.neigh[static_cast<std::size_t>(
+            g.offsets_[static_cast<std::size_t>(e.u)]++)] = e.v;
+        g.neigh[static_cast<std::size_t>(
+            g.offsets_[static_cast<std::size_t>(e.v)]++)] = e.u;
+    }
+
+    // Sort and deduplicate each row, compacting the rows leftwards and
+    // rebasing offsets_[u] to the start of the compacted row u.
+    NodeId *const adj = g.neigh.data();
+    std::int64_t read = 0;
+    std::int64_t write = 0;
+    for (std::size_t u = 0; u < static_cast<std::size_t>(num_nodes);
+         ++u) {
+        const std::int64_t end = g.offsets_[u];
+        std::sort(adj + read, adj + end);
+        NodeId *const last = std::unique(adj + read, adj + end);
+        g.offsets_[u] = write;
+        if (write != read)
+            std::copy(adj + read, last, adj + write);
+        write += last - (adj + read);
+        read = end;
+    }
+    g.offsets_.back() = write;
+    g.neigh.resize(static_cast<std::size_t>(write));
+    g.neigh.shrink_to_fit();
     return g;
 }
 

@@ -6,7 +6,12 @@
  * a chaos run with faults and invariants armed under pressured DRAM.
  */
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -110,37 +115,72 @@ TEST(SegmentedCsr, SegmentsHoldExactlyTheMonolithicContent)
     BigraphSpec spec;
     spec.scale = 11;
     spec.degree = 8;
-    spec.segments = 3;  // Non-power split: 2048 rows -> 683 per segment.
     const CsrGraph host = hostGraphFor(spec);
-
-    Engine eng(testConfig());
-    SimHeap heap(eng);
-    SegmentedCsrGraph seg = SegmentedCsrGraph::generate(
-        eng, heap, eng.thread(0), spec, "bg_content");
-    ASSERT_EQ(seg.segmentCount(), 3u);
-    ASSERT_EQ(seg.numEdges(), host.numEdges());
-
     const auto &offs = host.offsets();
     const auto &adj = host.adjacency();
-    for (const CsrSegment &s : seg.segments()) {
-        // Index: global offsets, terminator included (the boundary
-        // offset is duplicated into the next segment's first entry).
-        for (NodeId r = s.firstRow; r <= s.rowEnd; ++r) {
-            ASSERT_EQ(s.index.raw(static_cast<std::uint64_t>(
-                          r - s.firstRow)),
-                      offs[static_cast<std::size_t>(r)])
-                << "row " << r;
-        }
-        for (std::int64_t e = s.edgeBase; e < s.edgeEnd; ++e) {
-            ASSERT_EQ(
-                s.adj.raw(static_cast<std::uint64_t>(e - s.edgeBase)),
-                adj[static_cast<std::size_t>(e)])
-                << "edge " << e;
-        }
-    }
 
-    seg.free(heap, eng.thread(0));
-    clearBigraphArtifacts();
+    // 2048 rows: one segment, then 683 and 293 rows per segment with a
+    // short last segment (682 and 290 rows).
+    for (const std::uint32_t segments : {1u, 3u, 7u}) {
+        spec.segments = segments;
+        Engine eng(testConfig());
+        SimHeap heap(eng);
+        SegmentedCsrGraph seg = SegmentedCsrGraph::generate(
+            eng, heap, eng.thread(0), spec, "bg_content");
+        ASSERT_EQ(seg.segmentCount(), segments);
+        ASSERT_EQ(seg.numEdges(), host.numEdges());
+        if (segments > 1) {
+            EXPECT_LT(seg.segments().back().rowCount(),
+                      seg.segments().front().rowCount());
+        }
+
+        for (const CsrSegment &s : seg.segments()) {
+            // Index: global offsets, terminator included (the boundary
+            // offset is duplicated into the next segment's first
+            // entry).
+            for (NodeId r = s.firstRow; r <= s.rowEnd; ++r) {
+                ASSERT_EQ(s.index.raw(static_cast<std::uint64_t>(
+                              r - s.firstRow)),
+                          offs[static_cast<std::size_t>(r)])
+                    << "segments " << segments << " row " << r;
+            }
+            for (std::int64_t e = s.edgeBase; e < s.edgeEnd; ++e) {
+                ASSERT_EQ(s.adj.raw(static_cast<std::uint64_t>(
+                              e - s.edgeBase)),
+                          adj[static_cast<std::size_t>(e)])
+                    << "segments " << segments << " edge " << e;
+            }
+        }
+
+        seg.free(heap, eng.thread(0));
+        clearBigraphArtifacts();
+    }
+}
+
+TEST(SegmentedCsrDeathTest, LostSpillTailIsFatal)
+{
+    // Each ~2 KiB bucket sits wholly in stdio's buffer and reaches the
+    // disk only when the file is closed. A 1 KiB file-size limit makes
+    // that flush fail, and the build must stop rather than read back a
+    // short bucket. (The limit leaves room for the error message in the
+    // captured stderr file.)
+    const std::string dir = "bigraph_flush_test_spill";
+    BigraphSpec spec;
+    spec.scale = 6;
+    spec.degree = 4;
+    spec.segments = 2;
+    EXPECT_EXIT(
+        {
+            setenv("MEMTIER_SPILL_DIR", dir.c_str(), 1);
+            std::signal(SIGXFSZ, SIG_IGN);
+            rlimit limit{};
+            getrlimit(RLIMIT_FSIZE, &limit);
+            limit.rlim_cur = 1024;
+            setrlimit(RLIMIT_FSIZE, &limit);
+            prepareBigraph(spec);
+        },
+        ::testing::ExitedWithCode(1), "cannot flush .*seg0\\.pairs");
+    std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------- Build determinism

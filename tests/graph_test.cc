@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/rng.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/sim_graph.h"
@@ -78,6 +79,112 @@ TEST(CsrGraph, SerializedBytesLayout)
     const CsrGraph g = CsrGraph::fromEdgeList(2, edges);
     // Header (3x int64) + offsets (3x int64) + adjacency (2x int32).
     EXPECT_EQ(g.serializedBytes(), 24u + 24u + 8u);
+}
+
+/** The CSR as a global comparison sort + unique on (u, v) of both
+ *  directions of every non-loop edge builds it: the reference model
+ *  for fromEdgeList's counting sort. */
+struct ReferenceCsr
+{
+    std::vector<std::int64_t> offsets;
+    std::vector<NodeId> adjacency;
+};
+
+ReferenceCsr
+referenceCsr(NodeId num_nodes, const EdgeList &edges)
+{
+    std::vector<Edge> directed;
+    for (const Edge &e : edges) {
+        if (e.u == e.v)
+            continue;
+        directed.push_back({e.u, e.v});
+        directed.push_back({e.v, e.u});
+    }
+    const auto less = [](const Edge &a, const Edge &b) {
+        return a.u != b.u ? a.u < b.u : a.v < b.v;
+    };
+    const auto same = [](const Edge &a, const Edge &b) {
+        return a.u == b.u && a.v == b.v;
+    };
+    std::sort(directed.begin(), directed.end(), less);
+    directed.erase(std::unique(directed.begin(), directed.end(), same),
+                   directed.end());
+    ReferenceCsr ref;
+    ref.offsets.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
+    for (const Edge &e : directed)
+        ++ref.offsets[static_cast<std::size_t>(e.u) + 1];
+    for (std::size_t i = 1; i < ref.offsets.size(); ++i)
+        ref.offsets[i] += ref.offsets[i - 1];
+    for (const Edge &e : directed)
+        ref.adjacency.push_back(e.v);
+    return ref;
+}
+
+TEST(CsrGraph, MatchesGlobalSortReferenceOnRandomMultigraphs)
+{
+    // Duplicates in both orientations, self loops, isolated first and
+    // last ids, and (at n = 4096) one hub row of degree >= 1000.
+    Rng rng(4242);
+    for (const NodeId n : {3, 40, 513, 4096}) {
+        EdgeList edges;
+        const auto inner = [&] {
+            return static_cast<NodeId>(
+                1 + rng.nextBounded(static_cast<std::uint64_t>(n - 2)));
+        };
+        for (NodeId i = 0; i < 4 * n; ++i) {
+            const NodeId u = inner();
+            const NodeId v = rng.nextBool(0.125) ? u : inner();
+            edges.push_back({u, v});
+            if (rng.nextBool(0.25))
+                edges.push_back({u, v});
+            if (rng.nextBool(0.25))
+                edges.push_back({v, u});
+        }
+        const NodeId hub = n / 2;
+        if (n > 1100) {
+            for (NodeId v = 1; v <= 1100; ++v) {
+                edges.push_back({hub, v});
+                if (v % 3 == 0)
+                    edges.push_back({v, hub});
+            }
+        }
+        for (std::size_t i = edges.size(); i > 1; --i)
+            std::swap(edges[i - 1], edges[rng.nextBounded(i)]);
+
+        const CsrGraph g = CsrGraph::fromEdgeList(n, edges);
+        const ReferenceCsr ref = referenceCsr(n, edges);
+        ASSERT_EQ(g.offsets(), ref.offsets) << "n " << n;
+        ASSERT_EQ(g.adjacency(), ref.adjacency) << "n " << n;
+        // No pre-dedup capacity is kept.
+        EXPECT_EQ(g.adjacency().capacity(), g.adjacency().size());
+        EXPECT_EQ(g.degree(0), 0);
+        EXPECT_EQ(g.degree(n - 1), 0);
+        if (n > 1100) {
+            EXPECT_GE(g.degree(hub), 1000);
+        }
+    }
+}
+
+TEST(CsrGraph, KronScale16DigestIsPinned)
+{
+    // FNV-1a over offsets() then adjacency() of the kron 2^16 / degree
+    // 16 CSR. Any change to the generator's draws or to the build's
+    // row order or dedup shows up here.
+    const CsrGraph g =
+        CsrGraph::fromEdgeList(1 << 16, generateKron(16, 16, 27491));
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&](std::uint64_t word) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (word >> (i * 8)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const std::int64_t o : g.offsets())
+        mix(static_cast<std::uint64_t>(o));
+    for (const NodeId v : g.adjacency())
+        mix(static_cast<std::uint32_t>(v));
+    EXPECT_EQ(g.numEdges(), 1818342);
+    EXPECT_EQ(h, 0x716e9d3438ee75e0ULL);
 }
 
 // ----------------------------------------------------------- Generators
