@@ -1,39 +1,33 @@
 /**
  * @file
- * Host-thread and copy-worker scaling of the multi-threaded executor:
- * the same PageRank run executed at 1/2/4/8 host threads (wall-clock
- * accesses/second; every run must produce the same application
- * checksum), plus the migration copy engine's effective bandwidth on a
- * deterministic huge-promotion storm at 1/2/4/8 copy workers (simulated
- * GB/s -- identical on any machine, which is what the CI gate keys on:
- * >= 2x at 4 workers).
+ * Copy-worker scaling of the simulated parallel migration copy engine:
+ * the effective bandwidth of a deterministic huge-promotion storm at
+ * 1/2/4/8 copy workers (simulated GB/s -- identical on any machine,
+ * which is what the CI gate keys on: >= 2x at 4 workers).
  *
  * Usage:
- *   parallel_scaling [--scale=N] [--trials=N] [--reps=N]
- *                    [--threads=A,B,...] [--out=PATH.json]
+ *   parallel_scaling [--out=PATH.json]
  *
  * --out writes a machine-readable JSON record (BENCH_parallel.json in
- * the CI flow). "host_cores" records the machine's core count so the
- * gate can skip wall-clock thresholds on starved runners.
+ * the CI flow).
  */
 
-#include <chrono>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/logging.h"
-#include "exp/runner.h"
 #include "os/kernel.h"
 #include "os/physical_memory.h"
 
 using namespace memtier;
 
 namespace {
+
+/** Huge pages promoted per storm. */
+constexpr std::uint64_t kHuge = 32;
 
 /** Shootdown sink for the kernel-level migration storm. */
 class NullShootdown : public TlbShootdownClient
@@ -43,32 +37,9 @@ class NullShootdown : public TlbShootdownClient
     void tlbShootdownHuge(PageNum) override {}
 };
 
-RunConfig
-benchConfig(int scale, int trials, std::uint32_t host_threads)
-{
-    RunConfig rc;
-    rc.workload.app = App::PR;
-    rc.workload.kind = GraphKind::Kron;
-    rc.workload.scale = scale;
-    rc.workload.trials = trials;
-    rc.sampling = false;  // Observers force the serial path by design.
-    rc.sys.hostThreads = host_threads;
-    return rc;
-}
-
-/** Wall-clock seconds of one runWorkload invocation. */
-double
-timedRun(const RunConfig &rc, RunResult &out)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    out = runWorkload(rc);
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
-}
-
 /**
  * Deterministic huge-promotion storm (same shape the CopyEngineVmstat
- * test asserts on): 32 huge pages faulted onto NVM behind a DRAM
+ * test asserts on): kHuge huge pages faulted onto NVM behind a DRAM
  * filler, then promoted one by one with the pool draining in between.
  * Returns the copy engine's effective bandwidth in bytes per simulated
  * second -- a pure function of the worker count.
@@ -76,7 +47,6 @@ timedRun(const RunConfig &rc, RunResult &out)
 double
 migrationStormBandwidth(std::uint32_t copy_workers)
 {
-    constexpr std::uint64_t kHuge = 32;
     KernelParams kp;
     kp.thp.enabled = true;
     kp.copyThreads = copy_workers;
@@ -117,104 +87,33 @@ migrationStormBandwidth(std::uint32_t copy_workers)
            cyclesToSeconds(ce.chargedCycles());
 }
 
-struct ThreadResult
-{
-    std::uint32_t threads = 0;
-    double wall = 0.0;
-    std::uint64_t accesses = 0;
-    std::uint64_t checksum = 0;
-    double migrationBps = 0.0;
-};
-
 }  // namespace
 
 int
 main(int argc, char **argv)
 {
-    int scale = 13;
-    int trials = 4;
-    int reps = 2;
-    std::vector<std::uint32_t> threads = {1, 2, 4, 8};
+    const std::vector<std::uint32_t> workers = {1, 2, 4, 8};
     std::string out_path;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg.rfind("--scale=", 0) == 0) {
-            scale = std::atoi(arg.c_str() + 8);
-        } else if (arg.rfind("--trials=", 0) == 0) {
-            trials = std::atoi(arg.c_str() + 9);
-        } else if (arg.rfind("--reps=", 0) == 0) {
-            reps = std::atoi(arg.c_str() + 7);
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            threads.clear();
-            std::stringstream ss(arg.substr(10));
-            std::string item;
-            while (std::getline(ss, item, ','))
-                threads.push_back(
-                    static_cast<std::uint32_t>(std::atoi(item.c_str())));
-        } else if (arg.rfind("--out=", 0) == 0) {
+        if (arg.rfind("--out=", 0) == 0) {
             out_path = arg.substr(6);
         } else {
-            std::cerr << "usage: parallel_scaling [--scale=N]"
-                         " [--trials=N] [--reps=N] [--threads=A,B,...]"
-                         " [--out=PATH.json]\n";
+            std::cerr << "usage: parallel_scaling [--out=PATH.json]\n";
             return 2;
         }
     }
-    if (threads.empty() || threads[0] != 1 || trials <= 0 || reps <= 0) {
-        std::cerr << "parallel_scaling: bad sweep parameters (the"
-                     " thread list must start at 1)\n";
-        return 2;
+
+    std::cout << "parallel_scaling: huge-promotion storm, " << kHuge
+              << " x 2 MiB\n";
+    std::vector<double> bps;
+    for (const std::uint32_t w : workers) {
+        bps.push_back(migrationStormBandwidth(w));
+        std::cout << "  copy workers " << w << ": migration "
+                  << bps.back() / 1e9 << " GB/s (" << bps.back() / bps[0]
+                  << "x)\n";
     }
-
-    const unsigned host_cores = std::thread::hardware_concurrency();
-    std::cout << "parallel_scaling: pr:kron scale " << scale << ", "
-              << trials << " trials, best of " << reps
-              << " reps, host cores " << host_cores << "\n";
-
-    // Warm the graph cache so the first sweep point pays no setup.
-    {
-        RunResult warm;
-        (void)timedRun(benchConfig(scale, 1, 1), warm);
-    }
-
-    std::vector<ThreadResult> sweep;
-    bool checksum_ok = true;
-    for (const std::uint32_t h : threads) {
-        ThreadResult res;
-        res.threads = h;
-        RunResult best;
-        for (int r = 0; r < reps; ++r) {
-            RunResult rr;
-            const double w = timedRun(benchConfig(scale, trials, h), rr);
-            if (r == 0 || w < res.wall) {
-                res.wall = w;
-                best = rr;
-            }
-        }
-        res.accesses = best.totalAccesses;
-        res.checksum = best.outputChecksum;
-        res.migrationBps = migrationStormBandwidth(h);
-        if (!sweep.empty() && res.checksum != sweep[0].checksum)
-            checksum_ok = false;
-        std::cout << "  threads " << h << ": wall " << res.wall
-                  << " s, "
-                  << static_cast<std::uint64_t>(
-                         static_cast<double>(res.accesses) / res.wall)
-                  << " accesses/s, migration "
-                  << res.migrationBps / 1e9 << " GB/s\n";
-        sweep.push_back(res);
-    }
-
-    if (!checksum_ok) {
-        std::cerr << "parallel_scaling: application checksum changed"
-                     " with the host thread count -- executor broken\n";
-        return 1;
-    }
-
-    const ThreadResult &base = sweep[0];
-    const double base_aps =
-        static_cast<double>(base.accesses) / base.wall;
 
     if (!out_path.empty()) {
         std::ofstream out(out_path);
@@ -225,30 +124,16 @@ main(int argc, char **argv)
         }
         out << "{\n"
             << "  \"bench\": \"parallel_scaling\",\n"
-            << "  \"workload\": \"pr_kron\",\n"
-            << "  \"scale\": " << scale << ",\n"
-            << "  \"trials\": " << trials << ",\n"
-            << "  \"reps\": " << reps << ",\n"
-            << "  \"host_cores\": " << host_cores << ",\n"
-            << "  \"per_threads\": [\n";
-        for (std::size_t i = 0; i < sweep.size(); ++i) {
-            const ThreadResult &r = sweep[i];
-            const double aps =
-                static_cast<double>(r.accesses) / r.wall;
-            out << "    {\"threads\": " << r.threads
-                << ", \"wall_sec\": " << r.wall
-                << ", \"accesses_per_sec\": " << aps
-                << ", \"speedup\": " << aps / base_aps
-                << ", \"migration_bytes_per_sec\": " << r.migrationBps
-                << ", \"migration_speedup\": "
-                << r.migrationBps / base.migrationBps << "}"
-                << (i + 1 < sweep.size() ? "," : "") << "\n";
+            << "  \"workload\": \"huge_promotion_storm\",\n"
+            << "  \"huge_pages\": " << kHuge << ",\n"
+            << "  \"per_workers\": [\n";
+        for (std::size_t i = 0; i < workers.size(); ++i) {
+            out << "    {\"workers\": " << workers[i]
+                << ", \"migration_bytes_per_sec\": " << bps[i]
+                << ", \"migration_speedup\": " << bps[i] / bps[0] << "}"
+                << (i + 1 < workers.size() ? "," : "") << "\n";
         }
-        out << "  ],\n"
-            << "  \"accesses\": " << base.accesses << ",\n"
-            << "  \"base_accesses_per_sec\": " << base_aps << ",\n"
-            << "  \"checksum_ok\": "
-            << (checksum_ok ? "true" : "false") << "\n"
+        out << "  ]\n"
             << "}\n";
         std::cout << "  wrote " << out_path << "\n";
     }

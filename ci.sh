@@ -26,12 +26,9 @@
 #   7. a perf-regression gate: bench/hotpath_speed re-run at its
 #      committed parameters and compared against the checked-in
 #      BENCH_hotpath.json (fails when batched throughput drops below
-#      80% of the recorded baseline), then bench/parallel_scaling
-#      against BENCH_parallel.json: the copy engine must keep >= 2x
-#      migration bandwidth at 4 workers (simulated, machine-
-#      independent), and on runners with >= 4 cores the 4-host-thread
-#      throughput must stay >= 80% of the committed baseline and
-#      >= 1.5x the same run's 1-thread figure; then bench/scale_sweep
+#      80% of the recorded baseline), then bench/parallel_scaling:
+#      the simulated copy engine must keep >= 2x migration bandwidth
+#      at 4 copy workers (machine-independent); then bench/scale_sweep
 #      against BENCH_scale.json: the one-segment out-of-core build
 #      must stay bit-identical to the monolithic loader and the
 #      largest committed scale cell must keep >= 80% of its recorded
@@ -42,19 +39,13 @@
 #      asserting that frames actually retired and requests were
 #      actually killed (nonzero hwpoison_* counters) while every
 #      poisoned-frame invariant held;
-#   9. a TSan matrix: a ThreadSanitizer build running the threaded
-#      tests (host executor park/round protocol, copy engine), one
-#      short PageRank cell at 4 host threads and one KV serving cell
-#      at MEMTIER_HOST_THREADS=4, plus a determinism cell replaying
-#      the same seed twice at 4 host threads and diffing every
-#      simulated observable;
-#  10. an autotune pass: a short tuned PageRank + KV cell under the
+#   9. an autotune pass: a short tuned PageRank + KV cell under the
 #      invariant checker asserting the online tuner actually moved at
 #      least one tunable, then a perf gate on the committed
 #      BENCH_autotune.json: tuned autonuma must be >= 1.0x the default
 #      configuration on every committed cell and keep a >5% win on at
 #      least one;
-#  11. the benchmark's own tests (`perfbench/run.py --test`): every
+#  10. the benchmark's own tests (`perfbench/run.py --test`): every
 #      workload's simulated statistics must be bit-identical across
 #      instances and every output must pass its checker. The benchmark
 #      builds into its own .bench_build/.
@@ -66,19 +57,19 @@ cd "$(dirname "$0")"
 
 JOBS=$(nproc 2>/dev/null || echo 4)
 
-echo "=== [1/11] tier-1: RelWithDebInfo -Werror build + ctest ==="
+echo "=== [1/10] tier-1: RelWithDebInfo -Werror build + ctest ==="
 cmake -B build-ci -S . -DMEMTIER_WERROR=ON
 cmake --build build-ci -j "$JOBS"
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
-echo "=== [2/11] sanitizers: ASan/UBSan build + ctest ==="
+echo "=== [2/10] sanitizers: ASan/UBSan build + ctest ==="
 cmake -B build-asan -S . -DMEMTIER_WERROR=ON \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "=== [3/11] serving smoke: short tail sweep under ASan/UBSan ==="
+echo "=== [3/10] serving smoke: short tail sweep under ASan/UBSan ==="
 # One trial, two policies, THP off: small enough to stay fast under
 # the sanitizers, big enough to drive the generator, both stores, the
 # LSM flush/compaction path and the phase histograms end to end.
@@ -87,7 +78,7 @@ echo "=== [3/11] serving smoke: short tail sweep under ASan/UBSan ==="
     --out=build-asan/BENCH_serving_smoke.json \
     --csv=build-asan/serving_smoke.csv
 
-echo "=== [4/11] chaos: invariant checker on + fault plan, tier-1 binaries ==="
+echo "=== [4/10] chaos: invariant checker on + fault plan, tier-1 binaries ==="
 # MEMTIER_CHECK_INVARIANTS=ON arms the kernel invariant checker in
 # every Engine (observer-only: results stay bit-identical), and
 # MEMTIER_FAULT_PLAN overrides the chaos-aware tests' default plan.
@@ -113,7 +104,7 @@ print(f"scale smoke: {row['pgpromote']} promotions, dram_hit "
       f"{row['dram_hit_fraction']:.3f} under the invariant checker")
 EOF
 
-echo "=== [5/11] thp: MEMTIER_THP=ON + invariant checker, tier-1 binaries ==="
+echo "=== [5/10] thp: MEMTIER_THP=ON + invariant checker, tier-1 binaries ==="
 # MEMTIER_THP=ON force-enables the THP model in every Engine; the
 # extended invariant sweep (PMD/PTE consistency, THP counter identity)
 # runs continuously. Golden-value tests captured with THP off skip.
@@ -121,7 +112,7 @@ MEMTIER_THP=ON \
 MEMTIER_CHECK_INVARIANTS=ON \
     ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
-echo "=== [6/11] scalar path: MEMTIER_SCALAR_PATH=ON, tier-1 binaries ==="
+echo "=== [6/10] scalar path: MEMTIER_SCALAR_PATH=ON, tier-1 binaries ==="
 # MEMTIER_SCALAR_PATH=ON forces the element-at-a-time reference path in
 # every Engine. The hotpath golden tests assert exact captured
 # observables in both modes, so any scalar-vs-batched divergence fails
@@ -129,7 +120,7 @@ echo "=== [6/11] scalar path: MEMTIER_SCALAR_PATH=ON, tier-1 binaries ==="
 MEMTIER_SCALAR_PATH=ON \
     ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
-echo "=== [7/11] perf gate: hotpath throughput vs committed baseline ==="
+echo "=== [7/10] perf gate: hotpath throughput vs committed baseline ==="
 # Re-measure the batched hot path at the baseline's parameters and
 # fail on a >20% throughput regression. The bench itself also fails
 # when the scalar and batched paths stop being bit-identical, so this
@@ -148,47 +139,22 @@ if ratio < 0.8:
              "vs BENCH_hotpath.json (refresh the baseline via "
              "run_benches.sh if the change is intentional)")
 EOF
-# Host-thread / copy-worker scaling against the committed baseline.
-# The migration-bandwidth axis is simulated (a pure function of the
-# worker count), so it gates on every machine; the wall-clock axes
-# only gate on runners with >= 4 cores, where scaling is physical.
+# Copy-worker scaling of the simulated migration copy engine. The
+# bandwidth is a pure function of the worker count, so it gates on
+# every machine.
 ./build-ci/bench/parallel_scaling \
     --out=build-ci/BENCH_parallel_ci.json > /dev/null
-python3 - BENCH_parallel.json build-ci/BENCH_parallel_ci.json <<'EOF'
+python3 - build-ci/BENCH_parallel_ci.json <<'EOF'
 import json, sys
-base = json.load(open(sys.argv[1]))
-now = json.load(open(sys.argv[2]))
-def at(rec, n):
-    for row in rec["per_threads"]:
-        if row["threads"] == n:
-            return row
-    sys.exit(f"parallel gate FAILED: no {n}-thread row in record")
-if not now.get("checksum_ok", False):
-    sys.exit("parallel gate FAILED: application checksum changed "
-             "with the host thread count")
-mig = at(now, 4)["migration_speedup"]
+rows = {r["workers"]: r for r in json.load(open(sys.argv[1]))["per_workers"]}
+if 4 not in rows:
+    sys.exit("parallel gate FAILED: no 4-worker row in record")
+mig = rows[4]["migration_speedup"]
 print(f"parallel gate: migration bandwidth at 4 copy workers "
       f"{mig:.2f}x the 1-worker figure")
 if mig < 2.0:
     sys.exit("parallel gate FAILED: migration bandwidth at 4 copy "
              "workers fell below 2x the 1-worker figure")
-cores = int(now.get("host_cores", 0))
-if cores >= 4:
-    n1, n4 = at(now, 1), at(now, 4)
-    vs_base = n4["accesses_per_sec"] / at(base, 4)["accesses_per_sec"]
-    vs_self = n4["accesses_per_sec"] / n1["accesses_per_sec"]
-    print(f"parallel gate: 4-thread throughput {vs_base:.2f}x of the "
-          f"committed baseline, {vs_self:.2f}x of this run's 1-thread")
-    if vs_base < 0.8:
-        sys.exit("parallel gate FAILED: 4-thread throughput regressed "
-                 ">20% vs BENCH_parallel.json (refresh the baseline "
-                 "via run_benches.sh if the change is intentional)")
-    if vs_self < 1.5:
-        sys.exit("parallel gate FAILED: 4-thread throughput below "
-                 "1.5x the 1-thread figure")
-else:
-    print(f"parallel gate: wall-clock thresholds skipped "
-          f"(runner has {cores} core(s), need 4)")
 EOF
 # Footprint-scale gate: re-run the largest committed cell of the
 # segmented-CSR sweep (the run starts with the segment-1 bit-identity
@@ -222,7 +188,7 @@ if ratio < 0.8:
              "is intentional)")
 EOF
 
-echo "=== [8/11] ecc chaos: memory failures under the invariant checker ==="
+echo "=== [8/10] ecc chaos: memory failures under the invariant checker ==="
 # The BFS side: the memory-failure end-to-end tests replay an
 # ecc_ce/ecc_ue plan twice and assert bit-identity plus nonzero
 # hwpoison counters; forcing the checker on makes every other test in
@@ -257,45 +223,7 @@ print(f"ecc gate: {hot['frames_retired']} frames retired, "
       f"{float(hot['availability']):.4f} (baseline clean)")
 EOF
 
-echo "=== [9/11] tsan matrix: ThreadSanitizer build + threaded cells ==="
-# The host executor shares the engine with real std::threads; TSan
-# verifies the park/round protocol's happens-before edges for real.
-cmake -B build-tsan -S . -DMEMTIER_WERROR=ON \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g"
-cmake --build build-tsan -j "$JOBS" --target \
-    hostexec_test mem_test parallel_scaling serving_tail policy_sweep
-# Threaded tests: the executor protocol end to end, plus the copy
-# engine's scheduling unit tests.
-./build-tsan/tests/hostexec_test
-./build-tsan/tests/mem_test --gtest_filter='CopyEngine*'
-# One short PageRank cell at 4 host threads (the bench sets the thread
-# count per run, so no env var here: it would pin every run to 4).
-./build-tsan/bench/parallel_scaling \
-    --scale=10 --trials=2 --reps=1 --threads=1,4 \
-    --out=build-tsan/BENCH_parallel_tsan.json > /dev/null
-# One KV serving cell with the engine at 4 host threads.
-MEMTIER_HOST_THREADS=4 ./build-tsan/bench/serving_tail --trials=1 \
-    --policies=autonuma --no-thp \
-    --out=build-tsan/BENCH_serving_tsan.json \
-    --csv=build-tsan/serving_tsan.csv > /dev/null
-# Determinism cell: the same seed twice at 4 host threads. The sweep
-# CSV holds only simulated observables (vmstat counters, simulated
-# seconds), so the two files must be byte-identical.
-MEMTIER_HOST_THREADS=4 ./build-tsan/bench/policy_sweep \
-    --policy=autonuma --tunable scan_period_ms=0.5 --workload pr:kron \
-    --out=build-tsan/determinism_a.csv > /dev/null
-MEMTIER_HOST_THREADS=4 ./build-tsan/bench/policy_sweep \
-    --policy=autonuma --tunable scan_period_ms=0.5 --workload pr:kron \
-    --out=build-tsan/determinism_b.csv > /dev/null
-if ! diff build-tsan/determinism_a.csv build-tsan/determinism_b.csv; then
-    echo "ci.sh: determinism cell FAILED -- the same seed at 4 host" >&2
-    echo "  threads produced different simulated observables" >&2
-    exit 1
-fi
-echo "tsan matrix: determinism cell identical"
-
-echo "=== [10/11] autotune: tuner smoke + tuned-vs-default perf gate ==="
+echo "=== [9/10] autotune: tuner smoke + tuned-vs-default perf gate ==="
 # Smoke: one graph cell and one serving cell under the invariant
 # checker. The run itself proves tuning keeps every kernel invariant;
 # the assertion below proves the tuner actually moved something (an
@@ -342,7 +270,7 @@ if best["speedup"] <= 1.05:
              f"cell)")
 EOF
 
-echo "=== [11/11] benchmark: perfbench gtests ==="
+echo "=== [10/10] benchmark: perfbench gtests ==="
 python3 perfbench/run.py --test
 
 echo "ci.sh: all gates passed"

@@ -45,11 +45,9 @@ for b in $binaries; do
         # stop being bit-identical.
         "$b" --out=BENCH_hotpath.json 2>/dev/null
     elif [ "$name" = "parallel_scaling" ]; then
-        # Host-thread and copy-worker scaling: wall-clock accesses/sec
-        # at 1/2/4/8 host threads plus the copy engine's deterministic
-        # migration bandwidth. Writes the record the CI perf gate
-        # compares against; the binary fails when the application
-        # checksum changes with the thread count.
+        # Copy-worker scaling: the simulated copy engine's migration
+        # bandwidth on a deterministic huge-promotion storm at 1/2/4/8
+        # workers (machine-independent).
         "$b" --out=BENCH_parallel.json 2>/dev/null
     elif [ "$name" = "scale_sweep" ]; then
         # Footprint-vs-scale on the segmented CSR path: out-of-core

@@ -93,25 +93,6 @@ writeAll(std::FILE *f, const std::uint64_t *data, std::size_t count,
         fatal("bigraph: short write to %s", path.c_str());
 }
 
-std::vector<std::uint64_t>
-readPairFile(const std::string &path)
-{
-    std::error_code ec;
-    const auto bytes = std::filesystem::file_size(path, ec);
-    if (ec)
-        fatal("bigraph: cannot stat %s", path.c_str());
-    std::vector<std::uint64_t> pairs(bytes / sizeof(std::uint64_t));
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (!f)
-        fatal("bigraph: cannot open %s", path.c_str());
-    if (!pairs.empty() &&
-        std::fread(pairs.data(), sizeof(std::uint64_t), pairs.size(),
-                   f.get()) != pairs.size()) {
-        fatal("bigraph: short read from %s", path.c_str());
-    }
-    return pairs;
-}
-
 /** Call @p fn on every packed pair of @p path, streamed through
  *  @p buf. */
 template <typename Fn>
@@ -374,7 +355,9 @@ SegmentedCsrGraph::generate(Engine &engine, SimHeap &heap,
         order[k] = spec.reverseBuild ? art.segments - 1 - k : k;
 
     // Host staging, reused across segments: the build's RSS bound is
-    // one segment's pairs + arrays, never the whole graph.
+    // one segment's arrays plus the stream buffer, never the whole
+    // graph.
+    std::vector<std::uint64_t> buf(kBufPairs);
     std::vector<std::int64_t> idx;
     std::vector<NodeId> adj;
     std::vector<std::int32_t> wts;
@@ -389,32 +372,24 @@ SegmentedCsrGraph::generate(Engine &engine, SimHeap &heap,
                                    art.nodes));
         seg.edgeBase = art.edgeBases[k];
         seg.edgeEnd = art.edgeBases[k + 1];
-
-        const std::vector<std::uint64_t> pairs =
-            readPairFile(art.segFiles[k]);
-        MEMTIER_ASSERT(static_cast<std::int64_t>(pairs.size()) ==
-                           art.edgeCounts[k],
-                       "bigraph: spill file changed size");
         const auto rows = static_cast<std::uint64_t>(seg.rowCount());
-        const auto cnt = pairs.size();
+        const auto cnt = static_cast<std::size_t>(art.edgeCounts[k]);
 
-        // Local index with global offsets: count per row, prefix-sum,
-        // rebase onto the segment's global edge base.
+        // One streamed pass over the bucket, which sortAndDedup left in
+        // (u, v) order: count each row and fill the adjacency (and
+        // weights) in place. The index then prefix-sums the counts
+        // onto the segment's global edge base.
         idx.assign(rows + 1, 0);
-        for (const std::uint64_t p : pairs)
-            ++idx[static_cast<std::uint64_t>(pairU(p) - seg.firstRow) +
-                  1];
-        idx[0] = seg.edgeBase;
-        for (std::uint64_t r = 1; r <= rows; ++r)
-            idx[r] += idx[r - 1];
         adj.resize(cnt);
-        for (std::size_t i = 0; i < cnt; ++i)
-            adj[i] = pairV(pairs[i]);
-        if (spec.weighted) {
-            wts.resize(cnt);
-            for (std::size_t i = 0; i < cnt; ++i) {
-                const NodeId u = pairU(pairs[i]);
-                const NodeId v = adj[i];
+        wts.resize(spec.weighted ? cnt : 0);
+        std::size_t i = 0;
+        forEachPair(art.segFiles[k], buf, [&](std::uint64_t p) {
+            MEMTIER_ASSERT(i < cnt, "bigraph: spill file changed size");
+            const NodeId u = pairU(p);
+            const NodeId v = pairV(p);
+            ++idx[static_cast<std::uint64_t>(u - seg.firstRow) + 1];
+            adj[i] = v;
+            if (spec.weighted) {
                 // Symmetric endpoint hash: both directions of an
                 // undirected edge get the same weight (matches
                 // CsrGraph::generateWeights).
@@ -426,7 +401,12 @@ SegmentedCsrGraph::generate(Engine &engine, SimHeap &heap,
                 wts[i] =
                     static_cast<std::int32_t>(h.next() % 255 + 1);
             }
-        }
+            ++i;
+        });
+        MEMTIER_ASSERT(i == cnt, "bigraph: spill file changed size");
+        idx[0] = seg.edgeBase;
+        for (std::uint64_t r = 1; r <= rows; ++r)
+            idx[r] += idx[r - 1];
 
         std::uint64_t sum = 0xcbf29ce484222325ULL;
         for (const std::int64_t o : idx)

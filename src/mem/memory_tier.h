@@ -130,9 +130,6 @@ class MemoryTier
     /** The underlying timing device (for bandwidth/queue statistics). */
     const TierDevice &device() const { return device_; }
 
-    /** Mutable device (per-host-thread replicas drain counters in). */
-    TierDevice &deviceMutable() { return device_; }
-
     /** Static parameters. */
     const TierParams &params() const { return cfg; }
 

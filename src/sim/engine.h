@@ -29,27 +29,11 @@
 #include "os/physical_memory.h"
 #include "policy/tunable_registry.h"
 #include "sim/access_observer.h"
-#include "sim/host_lane.h"
 #include "sim/system_config.h"
 #include "sim/thread_context.h"
 #include "thp/khugepaged.h"
 
 namespace memtier {
-
-class HostExecutor;
-
-/**
- * Sharing discipline of a parallel region's body, declared by the
- * caller. Serial (the default) always runs the deterministic
- * single-OS-thread interleaving. WriteDisjoint promises that each
- * logical thread writes only to its own partition (reads of other
- * partitions see phase-frozen data), which lets the engine run the
- * region on real host threads when SystemConfig::hostThreads > 1.
- */
-enum class RegionMode : std::uint8_t {
-    Serial = 0,
-    WriteDisjoint,
-};
 
 /** One sample of the machine-wide timeline (Figures 9 and 10). */
 struct TimelinePoint
@@ -233,35 +217,18 @@ class Engine : public TlbShootdownClient
      * decisions are identical to the element form because a grain-sized
      * run always executed uninterrupted between clock comparisons.
      *
-     * With @p mode == RegionMode::WriteDisjoint and hostThreads > 1
-     * the region instead runs on real host threads (one group of
-     * logical threads per OS thread, same per-thread partition, kernel
-     * work serialized into deterministic rounds); results then differ
-     * from the serial interleaving but replay bit-identically for a
-     * fixed thread count.
-     *
      * @param n iteration count.
      * @param body callable (ThreadContext &, uint64_t begin,
      *        uint64_t end) covering indices [begin, end).
      * @param grain consecutive iterations executed per scheduling step.
-     * @param mode sharing discipline the body guarantees.
      */
     template <typename RangeBody>
     void
     parallelForRanges(std::uint64_t n, RangeBody &&body,
-                      std::uint64_t grain = 16,
-                      RegionMode mode = RegionMode::Serial)
+                      std::uint64_t grain = 16)
     {
         if (n == 0)
             return;
-        if (mode == RegionMode::WriteDisjoint && canRunParallelRegion()) {
-            runParallelRegion(
-                n, grain,
-                std::function<void(ThreadContext &, std::uint64_t,
-                                   std::uint64_t)>(
-                    std::forward<RangeBody>(body)));
-            return;
-        }
         syncClocks();
 
         struct Range
@@ -343,21 +310,12 @@ class Engine : public TlbShootdownClient
     /** Machine-wide timeline samples. */
     const std::vector<TimelinePoint> &timeline() const { return points; }
 
-    /**
-     * Simulated cycles charged per executed grain range on the host
-     * workers (merged per-worker shards). Empty until a parallel
-     * region has run with hostThreads > 1.
-     */
-    const LatencyHistogram &hostGrainLatency() const { return hostLat_; }
-
     // -- Observation plane ---------------------------------------------
 
     /**
      * Cumulative machine-metrics snapshot at @p now: accesses and their
      * summed memory-system cycles, vmstat, and the serving-latency
-     * quantiles when a probe is registered. Reads only master state
-     * (host-worker lane shards merge at region end), so a snapshot
-     * taken from a service is deterministic for a fixed worker count.
+     * quantiles when a probe is registered.
      */
     MetricsView sampleMetrics(Cycles now) const;
 
@@ -394,76 +352,10 @@ class Engine : public TlbShootdownClient
         bool huge = false;  ///< Translated through the 2 MiB class.
     };
 
-    friend class HostExecutor;  ///< Runs rounds and commits lane shards.
-
     void syncClocks();
     void maybeRunServices(Cycles now);
-    void maybeRunServicesImpl(Cycles now);
     void recomputeNextServiceDue();
 
-    /**
-     * True when a WriteDisjoint region may actually go multi-threaded:
-     * more than one host thread configured, no observers (batch record
-     * delivery is inherently ordered), no forced scalar path, and no
-     * fault injector (its RNG draws depend on global access order).
-     * The invariant checker is allowed -- it audits inside rounds,
-     * with every worker parked.
-     */
-    bool
-    canRunParallelRegion() const
-    {
-        return hostThreads_ > 1 && threads.size() > 1 &&
-               observers.empty() && !cfg.scalarPath &&
-               faults_ == nullptr;
-    }
-
-    /** Execute one WriteDisjoint region on the host executor. */
-    void runParallelRegion(
-        std::uint64_t n, std::uint64_t grain,
-        const std::function<void(ThreadContext &, std::uint64_t,
-                                 std::uint64_t)> &body);
-
-    /** @name Host-lane redirection
-     * The access machinery funnels every mutation of the shared L3,
-     * the tier timing devices and the level counts through these
-     * helpers: on a host worker they resolve to the worker's private
-     * lane, on the serial path to the master state. One thread-local
-     * null check is the whole serial-path cost.
-     */
-    ///@{
-    SetAssocCache &
-    sharedL3Ref()
-    {
-        HostLane *lane = tls_host_lane;
-        return lane != nullptr ? lane->l3 : l3;
-    }
-
-    std::uint64_t *
-    levelCountsRef()
-    {
-        HostLane *lane = tls_host_lane;
-        return lane != nullptr ? lane->levelCounts : level_counts;
-    }
-
-    std::uint64_t &
-    accessCyclesRef()
-    {
-        HostLane *lane = tls_host_lane;
-        return lane != nullptr ? lane->accessCycles : accessCycles_;
-    }
-
-    Cycles
-    tierAccess(MemNode node, Cycles now, MemOp op, bool sequential)
-    {
-        HostLane *lane = tls_host_lane;
-        if (lane != nullptr) {
-            TierDevice &dev =
-                node == MemNode::DRAM ? lane->dram : lane->nvm;
-            return dev.access(now, op, sequential);
-        }
-        return phys.tier(node).access(now, op, sequential);
-    }
-    ///@}
     void accessPrologue(ThreadContext &t, bool assists);
     AccessOutcome accessCore(ThreadContext &t, Addr addr, MemOp op,
                              bool assists);
@@ -529,15 +421,6 @@ class Engine : public TlbShootdownClient
     std::uint32_t activeThreads = 1;
     std::vector<TimelinePoint> points;
 
-    /** Host worker count (resolved from config + env, clamped). */
-    std::uint32_t hostThreads_ = 1;
-
-    /** Lazily built at the first multi-threaded region. */
-    std::unique_ptr<HostExecutor> hostExec_;
-
-    /** Merged per-worker grain-latency shards. */
-    LatencyHistogram hostLat_;
-
     /** Record staging for batch-at-a-time observer delivery. */
     std::vector<AccessRecord> recScratch_;
 
@@ -545,7 +428,7 @@ class Engine : public TlbShootdownClient
     TunableRegistry registry_;
 
     /** Summed memory-system cycles of every completed access entry
-     *  point (master shard; host lanes merge in at region end). */
+     *  point. */
     std::uint64_t accessCycles_ = 0;
 
     /** Live serving-latency histogram, owned by the serving driver. */

@@ -117,14 +117,12 @@ struct SystemConfig
     bool scalarPath = false;
 
     /**
-     * Host OS threads executing write-disjoint parallel regions. 1
-     * (the default) keeps the whole engine on the calling thread and
-     * is bit-identical to every pre-parallel golden; values > 1 split
-     * the logical threads into that many groups, each run by a real
-     * std::thread over the park/round protocol (deterministic for a
-     * fixed count, but a different interleaving than serial). The
-     * MEMTIER_HOST_THREADS environment variable overrides it; the
-     * engine clamps to numThreads.
+     * Must be 1: the engine always runs on the calling OS thread. The
+     * field exists only so that the benchmark driver's
+     * `sys.hostThreads = 1` assignment (perfbench/workloads.cc) still
+     * compiles; the Engine constructor calls fatal() on any other value
+     * so a stale caller fails loudly instead of silently running
+     * serial. It goes away when the benchmark is next revised.
      */
     std::uint32_t hostThreads = 1;
 };

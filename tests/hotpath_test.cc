@@ -2,7 +2,8 @@
  * @file
  * Tests for the batched access pipeline: translation-epoch bumps on
  * every remap class, micro-cache staleness rejection, the invariant-
- * checker audit of per-thread translation caches, and the golden
+ * checker audit of per-thread translation caches (also under
+ * migrations racing mid-region remaps), and the golden
  * scalar-vs-batched bit-identity of whole workload runs.
  */
 
@@ -247,6 +248,80 @@ TEST(MicroCacheEngine, RemapInvalidatesAndAuditStaysGreen)
     for (std::uint64_t i = 0; i < 64; ++i)
         eng.store(t0, b + i * kPageSize);
     eng.invariantChecker()->checkNow(eng.globalTime());
+}
+
+// ------------------------------------- Translation-epoch race stress
+
+/**
+ * Thread 0's first grain of every parallel region remaps a private
+ * region (an epoch bump) while all threads sweep a shared region that
+ * AutoNUMA scans, migrates and demotes during the sweep. The invariant
+ * checker audits every micro-cache against the page table, so a single
+ * stale translation surviving an epoch bump fails the run.
+ */
+void
+runEpochRaceStress(bool thp)
+{
+    SystemConfig cfg;
+    cfg.numThreads = 8;
+    cfg.checkInvariants = true;
+    cfg.invariantCheckPeriod = 256;
+    cfg.dram = makeDramParams(thp ? 4 * kMiB : 128 * kPageSize);
+    cfg.nvm = makeNvmParams(thp ? 32 * kMiB : 4096 * kPageSize);
+    cfg.autonuma.scanPeriod = secondsToCycles(0.0002);
+    cfg.autonuma.adjustPeriod = secondsToCycles(0.001);
+    // Admit whole huge pages through the migration rate limiter.
+    cfg.autonuma.rateLimitBytesPerSec = 64 * kMiB;
+    cfg.thp.enabled = thp;
+    Engine eng(cfg);
+    ThreadContext &t0 = eng.thread(0);
+
+    const std::uint64_t shared_pages = thp ? 4 * kPagesPerHuge : 512;
+    const Addr shared =
+        eng.sysMmap(t0, shared_pages * kPageSize, 0, "shared");
+    Addr scratch = eng.sysMmap(t0, 16 * kPageSize, 1, "scratch");
+
+    for (int pass = 0; pass < 8; ++pass) {
+        eng.parallelForRanges(
+            shared_pages,
+            [&](ThreadContext &t, std::uint64_t b, std::uint64_t e) {
+                if (b == 0) {
+                    // munmap + mmap bump the epoch while every other
+                    // thread still caches the previous pass's
+                    // translations.
+                    eng.sysMunmap(t, scratch);
+                    scratch = eng.sysMmap(t, 16 * kPageSize, 1,
+                                          "scratch");
+                    for (std::uint64_t i = 0; i < 16; ++i)
+                        eng.store(t, scratch + i * kPageSize);
+                }
+                // Line-strided batched sweep: enough simulated cycles
+                // that scans/kswapd fire *during* the region, racing
+                // the micro-caches with real migrations.
+                eng.accessRange(t, shared + b * kPageSize,
+                                (e - b) * (kPageSize / kLineSize),
+                                kLineSize, MemOp::Load);
+                for (std::uint64_t i = b; i < e; i += 4)
+                    eng.store(t, shared + i * kPageSize);
+            });
+    }
+
+    ASSERT_NE(eng.invariantChecker(), nullptr);
+    eng.invariantChecker()->checkNow(eng.globalTime());
+    EXPECT_GT(eng.invariantChecker()->checksRun(), 0u);
+    // The stress only means something if migrations actually raced the
+    // accesses: scans must have queued and moved pages.
+    EXPECT_GT(eng.kernel().vmstat().pgmigrateSuccess, 0u);
+}
+
+TEST(EpochRaceStress, MicroCachesRevalidateUnderMigration4k)
+{
+    runEpochRaceStress(/*thp=*/false);
+}
+
+TEST(EpochRaceStress, MicroCachesRevalidateUnderMigrationThp)
+{
+    runEpochRaceStress(/*thp=*/true);
 }
 
 // --------------------------------- Scalar vs batched golden identity

@@ -1,16 +1,20 @@
 /**
  * @file
  * Unit tests for the memory-tier substrate: frame allocation, device
- * timing (latency, queuing, write amplification) and usage accounting.
+ * timing (latency, queuing, write amplification), usage accounting, and
+ * the parallel copy engine, alone and wired into the kernel.
  */
 
 #include <gtest/gtest.h>
 
+#include "exp/runner.h"
 #include "mem/copy_engine.h"
 #include "mem/frame_allocator.h"
 #include "mem/memory_tier.h"
 #include "mem/tier_device.h"
 #include "mem/tier_params.h"
+#include "os/kernel.h"
+#include "os/physical_memory.h"
 
 namespace memtier {
 namespace {
@@ -467,6 +471,118 @@ TEST(CopyEngine, ScheduleIsDeterministic)
     EXPECT_EQ(a.busyCycles(), b.busyCycles());
     EXPECT_EQ(a.queuedChunks(), b.queuedChunks());
     EXPECT_EQ(a.parallelCopies(), b.parallelCopies());
+}
+
+// ------------------------------------------------ Copy-engine surface
+
+/** Shootdown sink for kernel-level tests (engine not involved). */
+class NullShootdown : public TlbShootdownClient
+{
+  public:
+    void tlbShootdown(PageNum) override {}
+    void tlbShootdownHuge(PageNum) override {}
+};
+
+/** A migration-heavy PageRank run (DRAM overcommitted ~4x). */
+RunConfig
+parallelConfig(App app)
+{
+    RunConfig rc;
+    rc.workload.app = app;
+    rc.workload.kind = GraphKind::Kron;
+    rc.workload.scale = 12;
+    rc.workload.trials = 2;
+    rc.sampling = false;
+    rc.sys.dram = makeDramParams(192 * kPageSize);
+    rc.sys.nvm = makeNvmParams(4096 * kPageSize);
+    rc.sys.autonuma.scanPeriod = secondsToCycles(0.0005);
+    rc.sys.autonuma.adjustPeriod = secondsToCycles(0.002);
+    return rc;
+}
+
+TEST(CopyEngineVmstat, ParallelCountersSurfaceOnlyWhenParallel)
+{
+    RunConfig rc = parallelConfig(App::PR);
+    const RunResult serial = runWorkload(rc);
+    EXPECT_EQ(serial.vmstat.pgcopyChunks, 0u);
+    EXPECT_EQ(serial.vmstat.pgcopyQueuedChunks, 0u);
+    EXPECT_EQ(serial.vmstat.pgcopyBusyCycles, 0u);
+
+    rc.sys.kernel.copyThreads = 4;
+    const RunResult par = runWorkload(rc);
+    EXPECT_GT(par.vmstat.pgcopyChunks, 0u);
+    EXPECT_GT(par.vmstat.pgcopyBusyCycles, 0u);
+    // Faster copies legitimately change the simulated trajectory (the
+    // machine is different), but never the application's answer.
+    EXPECT_EQ(par.outputChecksum, serial.outputChecksum);
+}
+
+/**
+ * Deterministic huge-promotion storm: land 8 huge pages on NVM behind
+ * a DRAM filler, free the filler, then promote each 2 MiB page with
+ * plenty of simulated time between copies (idle pool). Returns the
+ * copy engine's effective bandwidth in bytes/second. This is the same
+ * measurement bench/parallel_scaling gates in CI.
+ */
+double
+promotionStormBandwidth(std::uint32_t copy_workers, VmStat *vm_out)
+{
+    KernelParams kp;
+    kp.thp.enabled = true;
+    kp.copyThreads = copy_workers;
+    PhysicalMemory phys(
+        makeDramParams(12 * kPagesPerHuge * kPageSize),
+        makeNvmParams(16 * kPagesPerHuge * kPageSize));
+    Kernel kern(phys, kp);
+    NullShootdown sink;
+    kern.setShootdownClient(&sink);
+
+    // Occupy DRAM so the huge allocations land on NVM.
+    const Addr filler =
+        kern.mmap(0, 12 * kPagesPerHuge * kPageSize, 0, "filler");
+    for (std::uint64_t i = 0; i < 12 * kPagesPerHuge; ++i)
+        kern.touchPage(pageOf(filler) + i, 1000 + i, MemOp::Store);
+
+    constexpr int kHuge = 8;
+    PageNum bases[kHuge];
+    for (int h = 0; h < kHuge; ++h) {
+        const Addr a = kern.mmap(0, kHugePageSize, 1 + h, "huge");
+        kern.touchPage(pageOf(a), 900000 + h, MemOp::Store);
+        bases[h] = pageOf(a);
+        EXPECT_TRUE(kern.isHugeMapped(bases[h]));
+        EXPECT_EQ(kern.nodeOf(bases[h]), MemNode::NVM);
+    }
+    kern.munmap(1000000, filler);
+
+    Cycles now = 2000000;
+    for (int h = 0; h < kHuge; ++h) {
+        EXPECT_GT(kern.promotePage(bases[h] + 123, now), 0u);
+        EXPECT_TRUE(kern.isHugeMapped(bases[h]));
+        now += 10000000;  // Pool drains fully between copies.
+    }
+    if (vm_out != nullptr)
+        *vm_out = kern.vmstat();
+    const CopyEngine &ce = kern.copyEngine();
+    EXPECT_GE(ce.bytesCopied(), kHuge * kHugePageSize);
+    return static_cast<double>(ce.bytesCopied()) /
+           cyclesToSeconds(ce.chargedCycles());
+}
+
+TEST(CopyEngineVmstat, FourWorkersSpeedUpMigrationBandwidth)
+{
+    // THP promotions move 2 MiB per copy -- the copies that actually
+    // fan out. (A 4 KiB promotion is a single chunk on any pool.)
+    VmStat vm1, vm4;
+    const double bw1 = promotionStormBandwidth(1, &vm1);
+    const double bw4 = promotionStormBandwidth(4, &vm4);
+    // The bench gates >= 2x at 4 workers on this same storm; an idle
+    // pool actually reaches 4x (32 equal chunks over 4 workers).
+    EXPECT_GE(bw4, 2.0 * bw1);
+    // The vmstat surface: counters move only on the parallel pool.
+    EXPECT_EQ(vm1.pgcopyParallel, 0u);
+    EXPECT_EQ(vm1.pgcopyChunks, 0u);
+    EXPECT_GE(vm4.pgcopyParallel, 8u);
+    EXPECT_GT(vm4.pgcopyChunks, 0u);
 }
 
 }  // namespace

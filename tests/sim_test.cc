@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "sim/engine.h"
 
 namespace memtier {
@@ -316,6 +318,32 @@ TEST_P(ParallelForSweep, SumMatchesAnyThreadCount)
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelForSweep,
                          ::testing::Values(1, 2, 3, 7, 18));
+
+// MEMTIER_COPY_THREADS accepts exactly the copy_threads tunable's
+// integer range [1, 64], and the engine runs on one host thread only.
+// Each rejected value fails before anything is sized from it.
+TEST(EngineDeathTest, WorkerCountsOutsideTheirRangeAreFatal)
+{
+    for (const char *bad : {"abc", "0", "65", "4294967297", "4x"}) {
+        EXPECT_EXIT(
+            {
+                setenv("MEMTIER_COPY_THREADS", bad, 1);
+                Engine eng(tinyConfig());
+            },
+            ::testing::ExitedWithCode(1),
+            "MEMTIER_COPY_THREADS=.*expected an integer in \\[1, 64\\]")
+            << bad;
+    }
+    SystemConfig two_hosts = tinyConfig();
+    two_hosts.hostThreads = 2;
+    EXPECT_EXIT(Engine eng(two_hosts), ::testing::ExitedWithCode(1),
+                "hostThreads=2");
+
+    ASSERT_EQ(setenv("MEMTIER_COPY_THREADS", "64", 1), 0);
+    Engine widest(tinyConfig());
+    ASSERT_EQ(unsetenv("MEMTIER_COPY_THREADS"), 0);
+    EXPECT_EQ(widest.kernel().copyEngine().params().workers, 64u);
+}
 
 }  // namespace
 }  // namespace memtier
