@@ -26,12 +26,15 @@ main()
     double dynamic_sum = 0.0;
     int n = 0;
     for (const WorkloadSpec &w : paperWorkloads(benchScale())) {
-        const RunResult base = runBench(w);
-        const PlacementPlan plan = planFromProfile(
-            base, scaledCapacity(24 * kMiB, w.scale), false);
-        const RunResult stat =
-            runBench(w, Mode::ObjectStatic, 61, &plan);
-        const RunResult dyn = runBench(w, Mode::ObjectDynamic);
+        const RunConfig rc = benchConfig(w);
+        const RunResult base = runBench(rc);
+        RunConfig static_rc = rc;
+        static_rc.placement =
+            planFromProfile(base, rc.sys.dram.capacityBytes, false);
+        const RunResult stat = runBench(static_rc);
+        RunConfig dynamic_rc = rc;
+        dynamic_rc.policy = "object-dynamic";
+        const RunResult dyn = runBench(dynamic_rc);
 
         const double sg = 1.0 - stat.totalSeconds / base.totalSeconds;
         const double dg = 1.0 - dyn.totalSeconds / base.totalSeconds;

@@ -14,6 +14,7 @@
  *                  [--epoch-ms=MS] [--out=PATH.json] [--csv=PATH.csv]
  */
 
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -120,9 +121,9 @@ main(int argc, char **argv)
         if (arg.rfind("--workload", 0) == 0) {
             workload_names.push_back(value_of("--workload"));
         } else if (arg.rfind("--trials", 0) == 0) {
-            trials = std::stoi(value_of("--trials"));
+            trials = parseIntArg("--trials", value_of("--trials"), 1, 1000000);
         } else if (arg.rfind("--seed", 0) == 0) {
-            seed = std::stoull(value_of("--seed"));
+            seed = parseIntArg("--seed", value_of("--seed"), 0LL, LLONG_MAX);
         } else if (arg.rfind("--epoch-ms", 0) == 0) {
             epoch_ms = std::stod(value_of("--epoch-ms"));
         } else if (arg.rfind("--out", 0) == 0) {
@@ -140,8 +141,6 @@ main(int argc, char **argv)
         workload_names = {"pr:kron", "bc:kron", "cc:kron", "kv:kron",
                           "lsm:kron"};
     }
-    if (trials <= 0)
-        fatal("--trials needs a positive count");
 
     // Both arms start from the identical mistuned configuration -- a
     // sluggish scan and a starved promotion budget, the kind of stock

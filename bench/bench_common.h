@@ -10,25 +10,45 @@
 #ifndef MEMTIER_BENCH_BENCH_COMMON_H_
 #define MEMTIER_BENCH_BENCH_COMMON_H_
 
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "base/logging.h"
 #include "exp/report.h"
 #include "exp/runner.h"
 #include "profile/analysis.h"
 
 namespace memtier {
 
-/** Experiment scale: MEMTIER_SCALE env var, default 18. */
+/**
+ * Parse @p text as a base-10 integer in [@p lo, @p hi]. Garbage,
+ * trailing junk and out-of-range values are fatal, naming @p what (the
+ * flag or environment variable), so a typo never runs a default.
+ */
+template <typename T>
+T
+parseIntArg(const char *what, const std::string &text, T lo, T hi)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0' || errno == ERANGE ||
+        v < static_cast<long long>(lo) || v > static_cast<long long>(hi)) {
+        fatal("%s=\"%s\": expected an integer in [%lld, %lld]", what,
+              text.c_str(), static_cast<long long>(lo),
+              static_cast<long long>(hi));
+    }
+    return static_cast<T>(v);
+}
+
+/** Experiment scale: MEMTIER_SCALE env var in [10, 24], default 18. */
 inline int
 benchScale()
 {
-    if (const char *env = std::getenv("MEMTIER_SCALE")) {
-        const int scale = std::atoi(env);
-        if (scale >= 10 && scale <= 24)
-            return scale;
-    }
+    if (const char *env = std::getenv("MEMTIER_SCALE"))
+        return parseIntArg("MEMTIER_SCALE", env, 10, 24);
     return 18;
 }
 
@@ -52,22 +72,33 @@ scaledCapacity(std::uint64_t base_at_18, int scale)
                        : base_at_18 >> (18 - scale);
 }
 
-/** Run one paper workload under @p mode with sampling. */
-inline RunResult
-runBench(const WorkloadSpec &w, Mode mode = Mode::AutoNuma,
-         std::uint32_t sampler_period = 61,
-         const PlacementPlan *plan = nullptr, bool thp = false)
+/**
+ * One paper workload on the scale-sized testbed under the default
+ * autonuma policy, sampled every @p sampler_period accesses.
+ */
+inline RunConfig
+benchConfig(const WorkloadSpec &w, std::uint32_t sampler_period = 61,
+            bool thp = false)
 {
     RunConfig rc;
     rc.workload = w;
-    rc.mode = mode;
     rc.sampler.period = sampler_period;
     rc.sys.dram = makeDramParams(scaledCapacity(24 * kMiB, w.scale));
     rc.sys.nvm = makeNvmParams(scaledCapacity(96 * kMiB, w.scale));
     rc.sys.thp.enabled = thp;
-    std::cerr << "running " << w.name() << " [" << modeName(mode)
-              << (thp ? ", thp" : "") << "] scale=" << w.scale << "...\n";
-    return runWorkload(rc, plan);
+    return rc;
+}
+
+/** Run @p rc, announcing it on stderr. */
+inline RunResult
+runBench(const RunConfig &rc)
+{
+    std::cerr << "running " << rc.workload.name() << " ["
+              << (rc.policy.empty() ? "vanilla" : rc.policy)
+              << (rc.placement ? ", placement plan" : "")
+              << (rc.sys.thp.enabled ? ", thp" : "")
+              << "] scale=" << rc.workload.scale << "...\n";
+    return runWorkload(rc);
 }
 
 /**

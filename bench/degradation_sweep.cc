@@ -103,7 +103,7 @@ main(int argc, char **argv)
             for (const std::string &l : splitCommas(arg.substr(9)))
                 levels.push_back(std::atof(l.c_str()));
         } else if (arg.rfind("--trials=", 0) == 0) {
-            trials = std::atoi(arg.c_str() + 9);
+            trials = parseIntArg("--trials", arg.substr(9), 1, 1000000);
         } else if (arg.rfind("--out=", 0) == 0) {
             out_path = arg.substr(6);
         } else if (arg.rfind("--csv=", 0) == 0) {
@@ -115,7 +115,7 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (policies.empty() || levels.empty() || trials <= 0) {
+    if (policies.empty() || levels.empty()) {
         std::cerr << "degradation_sweep: bad sweep parameters\n";
         return 2;
     }

@@ -19,7 +19,7 @@ main()
     TextTable table({"Workload", "L1", "LFB", "L2", "L3", "DRAM", "NVM",
                      "DRAM+NVM"});
     for (const WorkloadSpec &w : paperWorkloads(benchScale())) {
-        const RunResult r = runBench(w);
+        const RunResult r = runBench(benchConfig(w));
         const LevelShares ls = levelShares(r.samples);
         table.addRow(
             {w.name(), pct(ls.frac[static_cast<int>(MemLevel::L1)]),

@@ -79,7 +79,7 @@ main()
     w.kind = GraphKind::Kron;
     w.scale = benchScale();
     w.trials = 3;
-    const RunResult r = runBench(w);
+    const RunResult r = runBench(benchConfig(w));
 
     const auto counts = objectAccessCounts(r.samples, r.tracker);
     const ObjectId hottest = hottestNvmObject(counts);

@@ -23,7 +23,7 @@ main()
     w.kind = GraphKind::Kron;
     w.scale = benchScale();
     w.trials = 3;
-    const RunResult r = runBench(w);
+    const RunResult r = runBench(benchConfig(w));
 
     TextTable table({"t (s)", "DRAM app", "DRAM cache", "NVM app",
                      "NVM cache", "demote d", "promote d", "CPU"});

@@ -56,7 +56,7 @@ main()
     w.kind = GraphKind::Kron;
     w.scale = benchScale();
     w.trials = 3;
-    const RunResult r = runBench(w);
+    const RunResult r = runBench(benchConfig(w));
 
     // Bucket DRAM load samples by timeline interval.
     std::vector<double> dram_loads(r.timeline.size(), 0.0);

@@ -26,13 +26,12 @@ main()
     int n = 0;
 
     for (const WorkloadSpec &w : paperWorkloads(benchScale())) {
-        const RunResult base = runBench(w);
-        const std::uint64_t dram_capacity =
-            scaledCapacity(24 * kMiB, w.scale);  // As runBench sets.
-        const PlacementPlan plan =
-            planFromProfile(base, dram_capacity, false);
-        const RunResult obj =
-            runBench(w, Mode::ObjectStatic, 61, &plan);
+        const RunConfig rc = benchConfig(w);
+        const RunResult base = runBench(rc);
+        const std::uint64_t dram_capacity = rc.sys.dram.capacityBytes;
+        RunConfig obj_rc = rc;
+        obj_rc.placement = planFromProfile(base, dram_capacity, false);
+        const RunResult obj = runBench(obj_rc);
 
         const double improv =
             1.0 - obj.totalSeconds / base.totalSeconds;
@@ -58,10 +57,10 @@ main()
 
         // Spill variants for the cc workloads (the starred bars).
         if (w.app == App::CC) {
-            const PlacementPlan spill_plan =
+            RunConfig spill_rc = rc;
+            spill_rc.placement =
                 planFromProfile(base, dram_capacity, true);
-            const RunResult spill =
-                runBench(w, Mode::ObjectSpill, 61, &spill_plan);
+            const RunResult spill = runBench(spill_rc);
             const double improv2 =
                 1.0 - spill.totalSeconds / base.totalSeconds;
             table.addRow({w.name() + "*", num(base.totalSeconds, 3),

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "base/logging.h"
+#include "bench_common.h"
 #include "exp/runner.h"
 
 using namespace memtier;
@@ -35,7 +36,7 @@ using namespace memtier;
 namespace {
 
 RunConfig
-benchConfig(int scale, int trials, bool scalar)
+hotpathConfig(int scale, int trials, bool scalar)
 {
     RunConfig rc;
     rc.workload.app = App::PR;
@@ -73,7 +74,7 @@ runScale(int scale, int trials, int reps)
     // Warm the graph cache and the allocator so neither path pays
     // first-use costs.
     RunResult warm;
-    (void)timedRun(benchConfig(scale, 1, false), warm);
+    (void)timedRun(hotpathConfig(scale, 1, false), warm);
 
     // Best-of-reps wall clock for each path; simulated results are
     // checked for bit-identity across every rep.
@@ -84,8 +85,8 @@ runScale(int scale, int trials, int reps)
     for (int r = 0; r < reps; ++r) {
         RunResult sr;
         RunResult br;
-        const double sw = timedRun(benchConfig(scale, trials, true), sr);
-        const double bw = timedRun(benchConfig(scale, trials, false), br);
+        const double sw = timedRun(hotpathConfig(scale, trials, true), sr);
+        const double bw = timedRun(hotpathConfig(scale, trials, false), br);
         if (r == 0 || sw < res.scalarWall) {
             res.scalarWall = sw;
             scalar_r = sr;
@@ -119,17 +120,17 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--scale=", 0) == 0) {
-            scales = {std::atoi(arg.c_str() + 8)};
+            scales = {parseIntArg("--scale", arg.substr(8), 1, 24)};
         } else if (arg.rfind("--scales=", 0) == 0) {
             scales.clear();
             std::stringstream ss(arg.substr(9));
             std::string item;
             while (std::getline(ss, item, ','))
-                scales.push_back(std::atoi(item.c_str()));
+                scales.push_back(parseIntArg("--scales", item, 1, 24));
         } else if (arg.rfind("--trials=", 0) == 0) {
-            trials = std::atoi(arg.c_str() + 9);
+            trials = parseIntArg("--trials", arg.substr(9), 1, 1000000);
         } else if (arg.rfind("--reps=", 0) == 0) {
-            reps = std::atoi(arg.c_str() + 7);
+            reps = parseIntArg("--reps", arg.substr(7), 1, 1000000);
         } else if (arg.rfind("--out=", 0) == 0) {
             out_path = arg.substr(6);
         } else {
@@ -139,7 +140,7 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (scales.empty() || trials <= 0 || reps <= 0) {
+    if (scales.empty()) {
         std::cerr << "hotpath_speed: bad sweep parameters\n";
         return 2;
     }

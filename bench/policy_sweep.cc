@@ -163,9 +163,8 @@ main(int argc, char **argv)
             spec.workloads.push_back(
                 parseWorkload(value_of("--workload"), scale));
         } else if (arg.rfind("--segments", 0) == 0) {
-            segments = std::stoi(value_of("--segments"));
-            if (segments < 1)
-                fatal("--segments needs a positive count");
+            segments =
+                parseIntArg("--segments", value_of("--segments"), 1, 4096);
         } else if (arg.rfind("--out", 0) == 0) {
             out_path = value_of("--out");
         } else if (arg.rfind("--faults", 0) == 0) {

@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -47,11 +48,26 @@ using namespace memtier;
 
 namespace {
 
+/** A memory configuration, under the label rows and records use. */
+struct SweepMode
+{
+    const char *label;
+    const char *policy;              ///< Registry name ("" = vanilla).
+    std::optional<MemNode> bound;    ///< Tier bound (tierBoundConfig).
+};
+
+const SweepMode kModes[] = {
+    {"autonuma", "autonuma", std::nullopt},
+    {"notiering", "", std::nullopt},
+    {"all_nvm", "", MemNode::NVM},
+    {"all_dram", "", MemNode::DRAM},
+};
+
 struct SweepRow
 {
     int scale = 18;
     GraphKind kind = GraphKind::Kron;
-    Mode mode = Mode::AutoNuma;
+    const SweepMode *mode = &kModes[0];
     int segments = 4;
 };
 
@@ -91,13 +107,12 @@ struct RowResult
     std::uint64_t peakRss = 0;
 };
 
-Mode
+const SweepMode *
 parseMode(const std::string &s)
 {
-    for (const Mode m : {Mode::AutoNuma, Mode::NoTiering, Mode::AllNvm,
-                         Mode::AllDram}) {
-        if (s == modeName(m))
-            return m;
+    for (const SweepMode &m : kModes) {
+        if (s == m.label)
+            return &m;
     }
     fatal("scale_sweep: unknown mode '%s' (expected autonuma, "
           "notiering, all_nvm or all_dram)",
@@ -127,15 +142,12 @@ parseRow(const std::string &s)
               "SCALE:KIND:MODE[:SEGMENTS])",
               s.c_str());
     SweepRow row;
-    row.scale = std::atoi(parts[0].c_str());
-    if (row.scale < 10 || row.scale > 28)
-        fatal("scale_sweep: scale %d out of range", row.scale);
+    row.scale = parseIntArg("--rows SCALE", parts[0], 10, 28);
     row.kind = parseKind(parts[1]);
     row.mode = parseMode(parts[2]);
-    row.segments = parts.size() == 4 ? std::atoi(parts[3].c_str())
-                                     : autoSegments(row.scale);
-    if (row.segments < 1)
-        fatal("scale_sweep: bad segment count in '%s'", s.c_str());
+    row.segments = parts.size() == 4
+                       ? parseIntArg("--rows SEGMENTS", parts[3], 1, 4096)
+                       : autoSegments(row.scale);
     return row;
 }
 
@@ -148,7 +160,7 @@ runRow(const SweepRow &row, int trials)
     rc.workload.scale = row.scale;
     rc.workload.trials = trials;
     rc.workload.segments = row.segments;
-    rc.mode = row.mode;
+    rc.policy = row.mode->policy;
     rc.sampling = false;
     rc.sys.dram = makeDramParams(scaledCapacity(24 * kMiB, row.scale));
     rc.sys.nvm = makeNvmParams(scaledCapacity(96 * kMiB, row.scale));
@@ -156,6 +168,8 @@ runRow(const SweepRow &row, int trials)
     // inside the short simulated runs.
     rc.sys.autonuma.scanPeriod = secondsToCycles(0.0005);
     rc.sys.autonuma.adjustPeriod = secondsToCycles(0.002);
+    if (row.mode->bound)
+        rc = tierBoundConfig(rc, *row.mode->bound);
 
     // Prewarm the spill artifacts so wall_sec times materialization +
     // simulated execution, not the one-off generate/sort pipeline --
@@ -173,7 +187,7 @@ runRow(const SweepRow &row, int trials)
     const BigraphArtifacts &art = prepareBigraph(bs);
 
     std::cerr << "running scale " << row.scale << " "
-              << graphKindName(row.kind) << " [" << modeName(row.mode)
+              << graphKindName(row.kind) << " [" << row.mode->label
               << "] segments=" << row.segments << "...\n";
     const auto t0 = std::chrono::steady_clock::now();
     const RunResult r = runWorkload(rc);
@@ -258,7 +272,7 @@ std::string
 rowLabel(const SweepRow &r)
 {
     return std::to_string(r.scale) + ":" + graphKindName(r.kind) + ":" +
-           modeName(r.mode) + ":" + std::to_string(r.segments);
+           r.mode->label + ":" + std::to_string(r.segments);
 }
 
 }  // namespace
@@ -279,7 +293,7 @@ main(int argc, char **argv)
             while (std::getline(ss, item, ','))
                 rows.push_back(parseRow(item));
         } else if (arg.rfind("--trials=", 0) == 0) {
-            trials = std::atoi(arg.c_str() + 9);
+            trials = parseIntArg("--trials", arg.substr(9), 1, 1000000);
         } else if (arg.rfind("--out=", 0) == 0) {
             out_path = arg.substr(6);
         } else if (arg == "--no-check") {
@@ -291,24 +305,20 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (trials <= 0) {
-        std::cerr << "scale_sweep: bad trial count\n";
-        return 2;
-    }
     if (rows.empty()) {
         // Default: the committed footprint-vs-scale matrix. The
         // notiering contrast stops at 22 and the biggest graphs run
         // autonuma only, to bound suite wall time.
         for (const int scale : {18, 20, 22}) {
-            rows.push_back({scale, GraphKind::Kron, Mode::AutoNuma,
+            rows.push_back({scale, GraphKind::Kron, &kModes[0],
                             autoSegments(scale)});
-            rows.push_back({scale, GraphKind::Kron, Mode::NoTiering,
+            rows.push_back({scale, GraphKind::Kron, &kModes[1],
                             autoSegments(scale)});
         }
         rows.push_back(
-            {24, GraphKind::Kron, Mode::AutoNuma, autoSegments(24)});
+            {24, GraphKind::Kron, &kModes[0], autoSegments(24)});
         rows.push_back(
-            {25, GraphKind::Urand, Mode::AutoNuma, autoSegments(25)});
+            {25, GraphKind::Urand, &kModes[0], autoSegments(25)});
     }
 
     benchHeader("footprint-vs-scale sweep on the segmented CSR path",
@@ -365,7 +375,7 @@ main(int argc, char **argv)
         const RowResult &r = results[i];
         out << "    {\"scale\": " << r.row.scale << ", \"kind\": \""
             << graphKindName(r.row.kind) << "\", \"mode\": \""
-            << modeName(r.row.mode) << "\", \"segments\": "
+            << r.row.mode->label << "\", \"segments\": "
             << r.row.segments << ", \"nodes\": " << r.nodes
             << ", \"edges\": " << r.edges << ", \"footprint_bytes\": "
             << r.footprintBytes << ", \"load_sim_sec\": "

@@ -87,7 +87,7 @@ main(int argc, char **argv)
         } else if (arg == "--no-thp") {
             thp_values = {false};
         } else if (arg.rfind("--trials=", 0) == 0) {
-            trials = std::atoi(arg.c_str() + 9);
+            trials = parseIntArg("--trials", arg.substr(9), 1, 1000000);
         } else if (arg == "--faults" && i + 1 < argc) {
             faults = FaultPlan::parseOrDie(argv[++i]);
         } else if (arg.rfind("--faults=", 0) == 0) {
@@ -104,7 +104,7 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (apps.empty() || policies.empty() || trials <= 0) {
+    if (apps.empty() || policies.empty()) {
         std::cerr << "serving_tail: bad sweep parameters\n";
         return 2;
     }

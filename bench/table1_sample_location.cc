@@ -23,7 +23,7 @@ main()
     TextTable table({"Workload", "Outside Cache", "Pages in DRAM",
                      "Pages in NVM", "ext samples"});
     for (const WorkloadSpec &w : paperWorkloads(benchScale())) {
-        const RunResult r = runBench(w);
+        const RunResult r = runBench(benchConfig(w));
         const LevelShares ls = levelShares(r.samples);
         const ExternalSplit es = externalSplit(r.samples);
         table.addRow({w.name(), pct(ls.externalFrac), pct(es.dramFrac, 2),

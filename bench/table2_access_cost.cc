@@ -30,7 +30,7 @@ main()
     };
     std::vector<Row> rows;
     for (const WorkloadSpec &w : paperWorkloads(benchScale())) {
-        const RunResult r = runBench(w);
+        const RunResult r = runBench(benchConfig(w));
         rows.push_back({w.name(), externalCostSplit(r.samples),
                         externalSplit(r.samples)});
     }

@@ -12,7 +12,8 @@
 #      invariant checker forced on and a moderate fault-injection plan
 #      pushed into the chaos-aware tests, plus a segmented-CSR smoke
 #      cell (PageRank on the out-of-core path at 4 segments) under the
-#      invariant checker;
+#      invariant checker, and an object-dynamic cell (the dynamic
+#      object policy picked by registry name) that must move pages;
 #   5. a THP pass: the tier-1 binaries re-run with transparent huge
 #      pages forced on (MEMTIER_THP=ON) under the invariant checker, so
 #      every run exercises PMD mappings, collapse and splits. Tests
@@ -102,6 +103,24 @@ if not 0.0 < row["dram_hit_fraction"] <= 1.0:
              f"{row['dram_hit_fraction']} out of range")
 print(f"scale smoke: {row['pgpromote']} promotions, dram_hit "
       f"{row['dram_hit_fraction']:.3f} under the invariant checker")
+EOF
+# Object-dynamic smoke: the dynamic object policy selected through the
+# registry, as users select it, under the invariant checker. Its
+# rebalance interval is shortened so rebalances fire inside the short
+# sweep-scale run; it must have moved pages, promotions included (the
+# reclaim path alone only demotes).
+MEMTIER_CHECK_INVARIANTS=ON \
+    ./build-ci/bench/policy_sweep --policy=object-dynamic \
+    --workload=bfs:kron --tunable interval_ms=0.5 \
+    --out=build-ci/sweep_object_dynamic.csv > /dev/null
+python3 - build-ci/sweep_object_dynamic.csv <<'EOF'
+import csv, sys
+row = next(csv.DictReader(open(sys.argv[1])))
+if int(row["migrations"]) == 0 or int(row["promotions"]) == 0:
+    sys.exit(f"object-dynamic smoke FAILED: migrations="
+             f"{row['migrations']} promotions={row['promotions']}")
+print(f"object-dynamic smoke: {row['migrations']} migrations "
+      f"({row['promotions']} promotions) under the invariant checker")
 EOF
 
 echo "=== [5/10] thp: MEMTIER_THP=ON + invariant checker, tier-1 binaries ==="

@@ -56,6 +56,7 @@ main(int argc, char **argv)
     rc.workload.app = App::BC;
     rc.workload.kind = GraphKind::Kron;
     int scale = 16;
+    std::string mode = "autonuma";
 
     if (argc > 1) {
         const std::string app = argv[1];
@@ -71,17 +72,8 @@ main(int argc, char **argv)
         else if (kind == "urand") rc.workload.kind = GraphKind::Urand;
         else usage(argv[0]);
     }
-    if (argc > 3) {
-        const std::string mode = argv[3];
-        if (mode == "autonuma") rc.mode = Mode::AutoNuma;
-        else if (mode == "notiering") rc.mode = Mode::NoTiering;
-        else if (mode == "object_static") rc.mode = Mode::ObjectStatic;
-        else if (mode == "object_spill") rc.mode = Mode::ObjectSpill;
-        else if (mode == "object_dynamic") rc.mode = Mode::ObjectDynamic;
-        else if (mode == "all_dram") rc.mode = Mode::AllDram;
-        else if (mode == "all_nvm") rc.mode = Mode::AllNvm;
-        else usage(argv[0]);
-    }
+    if (argc > 3)
+        mode = argv[3];
     if (argc > 4) {
         scale = std::atoi(argv[4]);
         if (scale < 12 || scale > 20)
@@ -92,24 +84,29 @@ main(int argc, char **argv)
     rc.sys.dram = makeDramParams(scaledBytes(6 * kMiB, scale));
     rc.sys.nvm = makeNvmParams(scaledBytes(24 * kMiB, scale));
 
-    // Object modes need a profiling pass first.
-    PlacementPlan plan;
-    const PlacementPlan *plan_ptr = nullptr;
-    if (rc.mode == Mode::ObjectStatic || rc.mode == Mode::ObjectSpill) {
+    if (mode == "notiering") {
+        rc.policy.clear();
+    } else if (mode == "object_static" || mode == "object_spill") {
+        // Object modes plan from a profiling pass under AutoNUMA.
         std::fprintf(stderr, "profiling pass under AutoNUMA...\n");
-        RunConfig profile_cfg = rc;
-        profile_cfg.mode = Mode::AutoNuma;
-        const RunResult profile = runWorkload(profile_cfg);
-        plan = planFromProfile(profile, rc.sys.dram.capacityBytes,
-                               rc.mode == Mode::ObjectSpill);
-        plan_ptr = &plan;
+        const RunResult profile = runWorkload(rc);
+        rc.placement = planFromProfile(profile, rc.sys.dram.capacityBytes,
+                                       mode == "object_spill");
+    } else if (mode == "object_dynamic") {
+        rc.policy = "object-dynamic";
+    } else if (mode == "all_dram") {
+        rc = tierBoundConfig(rc, MemNode::DRAM);
+    } else if (mode == "all_nvm") {
+        rc = tierBoundConfig(rc, MemNode::NVM);
+    } else if (mode != "autonuma") {
+        usage(argv[0]);
     }
 
     std::fprintf(stderr, "running %s under %s...\n",
-                 rc.workload.name().c_str(), modeName(rc.mode));
-    const RunResult r = runWorkload(rc, plan_ptr);
+                 rc.workload.name().c_str(), mode.c_str());
+    const RunResult r = runWorkload(rc);
 
-    banner(std::cout, r.workloadName + " under " + modeName(r.mode));
+    banner(std::cout, r.workloadName + " under " + mode);
     const LevelShares ls = levelShares(r.samples);
     const ExternalSplit es = externalSplit(r.samples);
     const CostSplit cs = externalCostSplit(r.samples);
@@ -135,7 +132,8 @@ main(int argc, char **argv)
                                   r.outputChecksum))});
     summary.print(std::cout);
 
-    if (plan_ptr != nullptr) {
+    if (mode == "object_static" || mode == "object_spill") {
+        const PlacementPlan &plan = *rc.placement;
         std::cout << "\nplacement plan (" << plan.size() << " sites):\n";
         TextTable sites({"site", "placement"});
         for (const auto &[site, policy] : plan.entries()) {

@@ -54,12 +54,10 @@ main(int argc, char **argv)
 
     // Pass 2: the paper's object-level static mapping, planned from the
     // profile of pass 1.
-    const PlacementPlan plan =
-        planFromProfile(autonuma, rc.sys.dram.capacityBytes,
-                        /*spill=*/false);
     RunConfig rc2 = rc;
-    rc2.mode = Mode::ObjectStatic;
-    const RunResult object = runWorkload(rc2, &plan);
+    rc2.placement = planFromProfile(autonuma, rc.sys.dram.capacityBytes,
+                                    /*spill=*/false);
+    const RunResult object = runWorkload(rc2);
     const ExternalSplit obj_split = externalSplit(object.samples);
 
     std::printf("\n%-22s %12s %12s\n", "", "AutoNUMA", "object-level");
@@ -81,7 +79,7 @@ main(int argc, char **argv)
                     : "NO");
 
     std::printf("\nplacement plan:\n");
-    for (const auto &[site, policy] : plan.entries()) {
+    for (const auto &[site, policy] : rc2.placement->entries()) {
         const char *where =
             policy.mode == MemPolicy::Mode::Split
                 ? "split DRAM/NVM"

@@ -1,14 +1,16 @@
 /**
  * @file
  * The experiment runner: executes one workload on one simulated machine
- * under one tiering mode and harvests everything the paper's analyses
- * need (samples, allocation records, timelines, counters, timings).
+ * under one tiering policy and placement plan and harvests everything
+ * the paper's analyses need (samples, allocation records, timelines,
+ * counters, timings).
  */
 
 #ifndef MEMTIER_EXP_RUNNER_H_
 #define MEMTIER_EXP_RUNNER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,47 +25,41 @@
 
 namespace memtier {
 
-/** Memory-management mode of a run. */
-enum class Mode : std::uint8_t {
-    AutoNuma,      ///< AutoNUMA tiering enabled (the paper's baseline).
-    NoTiering,     ///< Vanilla kernel: first touch, no migration.
-    ObjectStatic,  ///< The paper's object-level static mapping.
-    ObjectSpill,   ///< Static mapping with one spilled object (cc*).
-    ObjectDynamic, ///< Online object-level tiering (extension): ranks
-                   ///< live objects at runtime and migrates them whole,
-                   ///< replacing the AutoNUMA scanner.
-    AllDram,       ///< Oversized DRAM holds everything (ideal bound).
-    AllNvm,        ///< Everything bound to NVM (worst-case bound).
-};
-
-/** Name of @p mode for reports. */
-const char *modeName(Mode mode);
-
-/** One experiment to run. */
+/**
+ * One experiment to run. Memory management is a registry policy plus an
+ * optional placement plan: AutoNUMA is "autonuma" (the default), vanilla
+ * first touch "", the object-level static mapping "autonuma" plus a
+ * planFromProfile() plan, online object tiering "object-dynamic", and
+ * the all-DRAM / all-NVM bounds come from tierBoundConfig().
+ */
 struct RunConfig
 {
     WorkloadSpec workload;
-    Mode mode = Mode::AutoNuma;
     SystemConfig sys;        ///< Scaled-testbed defaults.
     SamplerParams sampler;
     bool sampling = true;    ///< Collect perf-mem style samples.
 
     /**
-     * Tiering policy selected by registry name. When non-empty it
-     * overrides the mode's policy choice (the run keeps the tiering
-     * kernel's demotion path); tunables configures the policy.
+     * Tiering policy by registry name ("" = vanilla kernel). It
+     * replaces sys.policyName; tunables configures it.
      */
-    std::string policy;
+    std::string policy = "autonuma";
 
     /** "key=value" tunable assignments for @ref policy. */
     std::vector<std::string> tunables;
+
+    /**
+     * Site -> tier plan consulted on every allocation (mbind before
+     * first touch), orthogonal to the policy: bound pages never
+     * migrate, the rest stay under the policy.
+     */
+    std::optional<PlacementPlan> placement;
 };
 
 /** Everything harvested from one run. */
 struct RunResult
 {
     std::string workloadName;
-    Mode mode = Mode::AutoNuma;
 
     double totalSeconds = 0.0;    ///< Simulated execution time.
     double loadSeconds = 0.0;     ///< Input-reading phase.
@@ -139,15 +135,15 @@ struct RunResult
     bool hasServing = false;
 };
 
+/** Run one experiment. */
+RunResult runWorkload(const RunConfig &config);
+
 /**
- * Run one experiment.
- *
- * @param config what to run.
- * @param plan placement plan for the Object* modes (ignored otherwise;
- *        required for ObjectStatic/ObjectSpill).
+ * @p config turned into the all-DRAM (ideal) or all-NVM (worst-case)
+ * bound: no tiering policy, every allocation bound to @p node, and for
+ * DRAM a tier sized at 4x the NVM one so everything fits.
  */
-RunResult runWorkload(const RunConfig &config,
-                      const PlacementPlan *plan = nullptr);
+RunConfig tierBoundConfig(RunConfig config, MemNode node);
 
 /**
  * Serving scenario derived from a KV/LSM WorkloadSpec: scale is log2
@@ -162,7 +158,7 @@ ServingSpec servingSpecFor(const WorkloadSpec &w);
  * "profile once, then assign" flow, Section 7).
  *
  * @param profile a sampled run of the same workload (normally the
- *        AutoNuma run itself).
+ *        autonuma run itself).
  * @param dram_capacity_bytes DRAM tier size of the target machine.
  * @param spill true for the starred spill variant.
  */

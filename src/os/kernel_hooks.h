@@ -18,6 +18,7 @@
 
 namespace memtier {
 
+class AccessObserver;
 struct PageMeta;
 struct MetricsView;
 class TunableRegistry;
@@ -84,6 +85,7 @@ using PolicyCounter = std::pair<std::string, std::uint64_t>;
  *  - @ref scanTick        periodic scan invocation (mark pages).
  *  - @ref onFirstTouchAlloc  first-touch placement of a new page.
  *  - @ref onDemotionRequest  reclaim proposes a demotion (veto/redirect?).
+ *  - @ref accessObserver  optional per-access feed from the engine.
  *  - @ref snapshotStats   export policy-private counters for reports.
  */
 class TieringPolicy
@@ -219,6 +221,14 @@ class TieringPolicy
         (void)base_vpn;
         (void)now;
     }
+
+    /**
+     * Observer the engine attaches at construction so the policy sees
+     * every completed access (object-granularity policies count
+     * traffic this way). nullptr, the default, attaches nothing and
+     * leaves the access path untouched.
+     */
+    virtual AccessObserver *accessObserver() { return nullptr; }
 
     /** Policy-private cumulative counters for reports/CSV export. */
     virtual std::vector<PolicyCounter> snapshotStats() const { return {}; }

@@ -148,6 +148,12 @@ class AutoTunePolicy : public TieringPolicy
         base_->onThpSplit(base_vpn, now);
     }
 
+    AccessObserver *
+    accessObserver() override
+    {
+        return base_->accessObserver();
+    }
+
     // -- Tuner surface ------------------------------------------------
 
     Cycles epochPeriod() const override { return params_.epochPeriod; }

@@ -5,6 +5,7 @@
 #include "base/logging.h"
 #include "policy/autotune_policy.h"
 #include "policy/exchange_policy.h"
+#include "policy/object_dynamic_policy.h"
 #include "policy/static_policies.h"
 #include "policy/tunable_registry.h"
 
@@ -172,6 +173,21 @@ PolicyRegistry::PolicyRegistry()
         {"dram_stride", "nvm_stride"},
         [](const PolicyContext &ctx) -> std::unique_ptr<TieringPolicy> {
             auto p = std::make_unique<InterleavePolicy>(ctx.kernel);
+            TunableRegistry local;
+            TunableRegistry &reg = pickRegistry(ctx, local);
+            p->registerTunables(reg);
+            applyAssignments(ctx, reg);
+            return p;
+        });
+
+    add("object-dynamic",
+        "online object-level tiering: ranks live objects by windowed "
+        "external accesses per byte and migrates whole objects under a "
+        "per-interval budget; demotion through reclaim",
+        {"interval_ms"},
+        [](const PolicyContext &ctx) -> std::unique_ptr<TieringPolicy> {
+            auto p = std::make_unique<ObjectDynamicPolicy>(
+                ctx.kernel, secondsToCycles(0.02));
             TunableRegistry local;
             TunableRegistry &reg = pickRegistry(ctx, local);
             p->registerTunables(reg);

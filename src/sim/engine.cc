@@ -82,9 +82,9 @@ Engine::Engine(const SystemConfig &config)
     // pool without recompiling, like the other MEMTIER_* overrides.
     if (const std::uint32_t cw = copyThreadsFromEnv())
         kp.copyThreads = cw;
-    // The vanilla baseline has no demotion path; tiering kernels keep
-    // it even when the AutoNUMA scanner is replaced by another policy.
-    kp.demoteOnReclaim = cfg.tieringKernel;
+    // The vanilla baseline has no demotion path; every tiering policy
+    // gets it and decides itself whether to use it.
+    kp.demoteOnReclaim = !cfg.policyName.empty();
     kern = std::make_unique<Kernel>(phys, kp);
     kern->setShootdownClient(this);
 
@@ -115,23 +115,20 @@ Engine::Engine(const SystemConfig &config)
         kern->setInvariantChecker(invariants_.get());
     }
 
-    // Resolve the tiering policy through the registry. The legacy
-    // autonumaEnabled flag maps onto the "autonuma" registry entry, so
-    // both selection paths construct the identical policy.
-    const std::string policy_name =
-        !cfg.policyName.empty()
-            ? cfg.policyName
-            : (cfg.autonumaEnabled ? "autonuma" : "");
-    if (!policy_name.empty()) {
+    // Resolve the tiering policy through the registry.
+    if (!cfg.policyName.empty()) {
         PolicyContext ctx{*kern, cfg.autonuma, cfg.policyTunables,
                           &registry_};
         std::string error;
-        tiering =
-            PolicyRegistry::instance().create(policy_name, ctx, &error);
+        tiering = PolicyRegistry::instance().create(cfg.policyName, ctx,
+                                                    &error);
         if (tiering == nullptr)
             fatal("%s", error.c_str());
         kern->setTieringPolicy(tiering.get());
+    } else if (cfg.policyTunables.size() > 0) {
+        fatal("policy tunables given, but no tiering policy is selected");
     }
+    setObserver(nullptr);  // Attaches the policy's observer, if any.
 
     // Runtime mutations (TunableRegistry::set) land here; the
     // construction-time setFromString path never fires the observer, so

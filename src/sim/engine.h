@@ -92,11 +92,17 @@ class Engine : public TlbShootdownClient
     const TunableRegistry &tunableRegistry() const { return registry_; }
     ///@}
 
-    /** Install the sole access observer (nullptr clears them all). */
+    /**
+     * Install the sole access observer besides the tiering policy's
+     * own (nullptr leaves only the policy's). The policy's observer is
+     * attached for the engine's whole life.
+     */
     void
     setObserver(AccessObserver *obs)
     {
         observers.clear();
+        if (tiering && tiering->accessObserver())
+            observers.push_back(tiering->accessObserver());
         if (obs)
             observers.push_back(obs);
     }

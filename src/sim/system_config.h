@@ -39,11 +39,11 @@ struct SystemConfig
 
     /**
      * Tiering policy selected by registry name ("autonuma", "exchange",
-     * "dram-only", "interleave", ...). When empty, the legacy
-     * autonumaEnabled flag decides between "autonuma" and no policy,
-     * so existing configurations behave exactly as before.
+     * "object-dynamic", "dram-only", "interleave", ...). Empty runs the
+     * vanilla-kernel baseline: no policy and no demotion path, so
+     * nothing ever migrates.
      */
-    std::string policyName;
+    std::string policyName = "autonuma";
 
     /** String-keyed tunables forwarded to the policy factory. */
     PolicyTunables policyTunables;
@@ -54,17 +54,6 @@ struct SystemConfig
      * MEMTIER_THP environment variable (ON/1) force-enables it.
      */
     ThpParams thp;
-
-    /** False runs the vanilla-kernel baseline (no scanning/migration). */
-    bool autonumaEnabled = true;
-
-    /**
-     * True gives the kernel the tiering reclaim path (demotion to NVM).
-     * Normally tied to autonumaEnabled, but policies that replace the
-     * scanner (e.g. dynamic object-level tiering) keep the demotion
-     * path while disabling AutoNUMA itself.
-     */
-    bool tieringKernel = true;
 
     /** Logical threads (the paper runs 18, one per core). */
     std::uint32_t numThreads = 18;

@@ -1,13 +1,13 @@
 /**
  * @file
- * Tests for the dynamic object-level tiering extension and the kernel's
- * object-migration API it builds on.
+ * Tests for the dynamic object-level tiering policy ("object-dynamic")
+ * and the kernel's object-migration API it builds on.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/dynamic_tiering.h"
 #include "exp/runner.h"
+#include "policy/object_dynamic_policy.h"
 #include "profile/analysis.h"
 #include "runtime/sim_heap.h"
 
@@ -21,9 +21,16 @@ tinyConfig()
     cfg.dram = makeDramParams(256 * kPageSize);
     cfg.nvm = makeNvmParams(1024 * kPageSize);
     cfg.numThreads = 2;
-    cfg.autonumaEnabled = false;  // The dynamic policy replaces it.
-    cfg.tieringKernel = true;
+    cfg.policyName = "object-dynamic";
     return cfg;
+}
+
+/** Statistics of the engine's object-dynamic policy. */
+const ObjectDynamicStats &
+dynamicStats(Engine &eng)
+{
+    return dynamic_cast<ObjectDynamicPolicy &>(*eng.tieringPolicy())
+        .stats();
 }
 
 // ----------------------------------------------- Kernel::migratePages
@@ -95,22 +102,20 @@ TEST(MigratePages, NoopWhenAlreadyOnTarget)
     heap.free(t, v);
 }
 
-// --------------------------------------------- DynamicObjectTiering
+// ------------------------------------------------------ object-dynamic
 
-TEST(DynamicTiering, HotObjectPulledToDram)
+/**
+ * Fill DRAM with a cold object so a hot one overflows to NVM, then
+ * shorten the rebalance interval (the engine was built with a long one,
+ * so the initial placement is the kernel's own) and hammer the hot
+ * object long enough for several rebalances. Expects a policy built
+ * with interval_ms long enough not to fire during the fill.
+ */
+void
+expectHotObjectPulledToDram(Engine &eng)
 {
-    Engine eng(tinyConfig());
-    MmapTracker tracker;
-    eng.kernel().setSyscallObserver(&tracker);
-    DynamicTieringParams params;
-    params.interval = secondsToCycles(0.0001);
-    DynamicObjectTiering policy(eng, tracker, params);
-
     SimHeap heap(eng);
     ThreadContext &t = eng.thread(0);
-    // Cold filler takes the DRAM; the hot object (too big for the
-    // caches) lands on NVM. The policy attaches only afterwards so the
-    // initial placement is the kernel's own.
     auto filler = heap.alloc<std::int64_t>(t, "cold", 250 * 512);
     for (std::uint64_t i = 0; i < filler.size(); i += 512)
         filler.set(t, i, 1);
@@ -122,30 +127,48 @@ TEST(DynamicTiering, HotObjectPulledToDram)
     const PageNum hot_last =
         pageOf(hot.addrOf(hot.size() - 1));
     ASSERT_EQ(eng.kernel().nodeOf(hot_last), MemNode::NVM);
-    policy.install();
+    EXPECT_EQ(dynamicStats(eng).rebalances, 0u);
+    eng.tunableRegistry().set("interval_ms", 0.1, t.clock());
 
-    // Hammer the hot object long enough for several rebalances.
     Rng rng(5);
     for (int round = 0; round < 150000; ++round)
         hot.get(t, rng.nextBounded(hot.size()));
 
-    EXPECT_GT(policy.stats().rebalances, 0u);
-    EXPECT_GT(policy.stats().pagesMovedUp, 0u);
+    EXPECT_GT(dynamicStats(eng).rebalances, 0u);
+    EXPECT_GT(dynamicStats(eng).pagesMovedUp, 0u);
     // The hot object must now be entirely on DRAM.
     EXPECT_EQ(eng.kernel().nodeOf(hot_last), MemNode::DRAM);
     heap.free(t, hot);
     heap.free(t, filler);
 }
 
+TEST(DynamicTiering, HotObjectPulledToDram)
+{
+    SystemConfig cfg = tinyConfig();
+    cfg.policyTunables.set("interval_ms", "1000");
+    Engine eng(cfg);
+    expectHotObjectPulledToDram(eng);
+}
+
+TEST(DynamicTiering, SamplerDoesNotDetachPolicy)
+{
+    // The runner installs its sampler through setObserver; the policy's
+    // own access observer must survive that, or the policy would rank
+    // every object at zero and never promote.
+    SystemConfig cfg = tinyConfig();
+    cfg.policyTunables.set("interval_ms", "1000");
+    Engine eng(cfg);
+    PerfMemSampler sampler;
+    eng.setObserver(&sampler);
+    expectHotObjectPulledToDram(eng);
+    EXPECT_GT(sampler.takeSamples().size(), 0u);
+}
+
 TEST(DynamicTiering, NoMigrationWithoutTraffic)
 {
-    Engine eng(tinyConfig());
-    MmapTracker tracker;
-    eng.kernel().setSyscallObserver(&tracker);
-    DynamicTieringParams params;
-    params.interval = secondsToCycles(0.001);
-    DynamicObjectTiering policy(eng, tracker, params);
-    policy.install();
+    SystemConfig cfg = tinyConfig();
+    cfg.policyTunables.set("interval_ms", "1");
+    Engine eng(cfg);
 
     SimHeap heap(eng);
     ThreadContext &t = eng.thread(0);
@@ -154,8 +177,8 @@ TEST(DynamicTiering, NoMigrationWithoutTraffic)
     // Advance time with cache-hit accesses (no external traffic).
     for (int i = 0; i < 50000; ++i)
         v.get(t, 0);
-    EXPECT_EQ(policy.stats().pagesMovedUp, 0u);
-    EXPECT_EQ(policy.stats().pagesMovedDown, 0u);
+    EXPECT_EQ(dynamicStats(eng).pagesMovedUp, 0u);
+    EXPECT_EQ(dynamicStats(eng).pagesMovedDown, 0u);
     heap.free(t, v);
 }
 
@@ -171,7 +194,7 @@ TEST(DynamicTiering, RunnerModeProducesIdenticalResults)
     const RunResult a = runWorkload(rc);
 
     RunConfig rc2 = rc;
-    rc2.mode = Mode::ObjectDynamic;
+    rc2.policy = "object-dynamic";
     const RunResult d = runWorkload(rc2);
     EXPECT_EQ(a.outputChecksum, d.outputChecksum);
     // The dynamic policy migrates via the kernel, so its activity shows
@@ -182,10 +205,7 @@ TEST(DynamicTiering, RunnerModeProducesIdenticalResults)
 TEST(DynamicTiering, StatsExposeDirections)
 {
     Engine eng(tinyConfig());
-    MmapTracker tracker;
-    eng.kernel().setSyscallObserver(&tracker);
-    DynamicObjectTiering policy(eng, tracker);
-    const DynamicTieringStats &st = policy.stats();
+    const ObjectDynamicStats &st = dynamicStats(eng);
     EXPECT_EQ(st.rebalances, 0u);
     EXPECT_EQ(st.pagesMovedUp + st.pagesMovedDown, 0u);
 }

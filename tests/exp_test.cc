@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests for the experiment harness helpers: report formatting,
- * workload registry and the dataset cache.
+ * workload registry, the dataset cache, the policy plane's goldens and
+ * the benches' integer flag parser.
  */
 
+#include <climits>
+#include <cstdlib>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_common.h"
 #include "exp/report.h"
 #include "exp/runner.h"
 #include "exp/workloads.h"
@@ -154,16 +158,151 @@ TEST(Runner, SamplingDoesNotPerturbTiming)
     EXPECT_EQ(without.samples.size(), 0u);
 }
 
-TEST(Workloads, ModeNamesDistinct)
+// ------------------------------------------------------ one policy plane
+//
+// Observables of one small PageRank run under each of the seven
+// configurations the runner once selected through a Mode enum, captured
+// before the enum was folded into the policy registry. Each entry's
+// registry spelling must reproduce them bit for bit.
+
+/** Captured observables of one configuration. */
+struct PlaneGolden
 {
-    std::set<std::string> names;
-    for (const Mode m :
-         {Mode::AutoNuma, Mode::NoTiering, Mode::ObjectStatic,
-          Mode::ObjectSpill, Mode::ObjectDynamic, Mode::AllDram,
-          Mode::AllNvm}) {
-        names.insert(modeName(m));
+    const char *mode;  ///< The configuration's report label.
+    double totalSeconds;
+    std::uint64_t levelCounts[kNumMemLevels];
+    std::uint64_t outputChecksum;
+    std::uint64_t pgpromoteSuccess;
+    std::uint64_t pgdemoteKswapd;
+    std::uint64_t pgdemoteDirect;
+    std::uint64_t pgmigrateSuccess;
+    std::uint64_t numaHintFaults;
+};
+
+/** Names the parameter in test listings. */
+void
+PrintTo(const PlaneGolden &g, std::ostream *os)
+{
+    *os << g.mode;
+}
+
+const PlaneGolden kPlaneGoldens[] = {
+    {"autonuma", 0.027645876153846154,
+     {2013211u, 2388220u, 705052u, 33367u, 49278u, 73917u},
+     0x97e421a1324e5b5cull, 131u, 112u, 64u, 307u, 3509u},
+    {"notiering", 0.025622713461538462,
+     {2010516u, 2391988u, 705151u, 33328u, 48374u, 73688u},
+     0x97e421a1324e5b5cull, 0u, 0u, 0u, 0u, 0u},
+    {"object_static", 0.024891386153846153,
+     {2010850u, 2399264u, 705136u, 33349u, 34347u, 80099u},
+     0x97e421a1324e5b5cull, 0u, 64u, 0u, 64u, 0u},
+    {"object_spill", 0.024490470384615385,
+     {2006192u, 2385583u, 704980u, 33283u, 97185u, 35822u},
+     0x97e421a1324e5b5cull, 0u, 0u, 48u, 48u, 0u},
+    {"object_dynamic", 0.025827999615384616,
+     {2007111u, 2398948u, 705134u, 31951u, 38589u, 81312u},
+     0x97e421a1324e5b5cull, 17u, 48u, 24u, 89u, 0u},
+    {"all_dram", 0.023094076538461537,
+     {2004130u, 2383075u, 704824u, 33371u, 137645u, 0u},
+     0x97e421a1324e5b5cull, 0u, 0u, 0u, 0u, 0u},
+    {"all_nvm", 0.027318475769230768,
+     {2011970u, 2398392u, 705150u, 33327u, 3440u, 110766u},
+     0x97e421a1324e5b5cull, 0u, 0u, 0u, 0u, 0u},
+};
+
+/**
+ * Long enough (two threads, 24 iterations) for object-dynamic's default
+ * 20 ms interval to rebalance, with compressed AutoNUMA clocks.
+ */
+RunConfig
+planeGoldenConfig()
+{
+    RunConfig rc;
+    rc.workload.app = App::PR;
+    rc.workload.kind = GraphKind::Kron;
+    rc.workload.scale = 12;
+    rc.workload.trials = 24;
+    rc.sys.dram = makeDramParams(96 * kPageSize);
+    rc.sys.nvm = makeNvmParams(2048 * kPageSize);
+    rc.sys.numThreads = 2;
+    rc.sys.autonuma.scanPeriod = secondsToCycles(0.0005);
+    rc.sys.autonuma.adjustPeriod = secondsToCycles(0.002);
+    return rc;
+}
+
+/** @p mode spelled as a registry policy plus a placement plan. */
+RunConfig
+planeConfig(const std::string &mode)
+{
+    RunConfig rc = planeGoldenConfig();
+    if (mode == "notiering") {
+        rc.policy.clear();
+    } else if (mode == "object_static" || mode == "object_spill") {
+        rc.placement = planFromProfile(runWorkload(rc),
+                                       rc.sys.dram.capacityBytes,
+                                       mode == "object_spill");
+    } else if (mode == "object_dynamic") {
+        rc.policy = "object-dynamic";
+    } else if (mode == "all_dram") {
+        rc = tierBoundConfig(rc, MemNode::DRAM);
+    } else if (mode == "all_nvm") {
+        rc = tierBoundConfig(rc, MemNode::NVM);
     }
-    EXPECT_EQ(names.size(), 7u);
+    return rc;
+}
+
+class PolicyPlane : public ::testing::TestWithParam<PlaneGolden>
+{
+};
+
+TEST_P(PolicyPlane, MatchesCapturedMode)
+{
+    // Captured with 4 KiB pages only; MEMTIER_THP=ON legitimately
+    // changes every counter.
+    if (thpForcedByEnv())
+        GTEST_SKIP() << "golden values captured with THP off";
+    const PlaneGolden &g = GetParam();
+    const RunResult r = runWorkload(planeConfig(g.mode));
+    EXPECT_EQ(r.totalSeconds, g.totalSeconds);
+    for (int l = 0; l < kNumMemLevels; ++l)
+        EXPECT_EQ(r.levelCounts[l], g.levelCounts[l]) << "level " << l;
+    EXPECT_EQ(r.outputChecksum, g.outputChecksum);
+    EXPECT_EQ(r.vmstat.pgpromoteSuccess, g.pgpromoteSuccess);
+    EXPECT_EQ(r.vmstat.pgdemoteKswapd, g.pgdemoteKswapd);
+    EXPECT_EQ(r.vmstat.pgdemoteDirect, g.pgdemoteDirect);
+    EXPECT_EQ(r.vmstat.pgmigrateSuccess, g.pgmigrateSuccess);
+    EXPECT_EQ(r.vmstat.numaHintFaults, g.numaHintFaults);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SevenModes, PolicyPlane, ::testing::ValuesIn(kPlaneGoldens),
+    [](const ::testing::TestParamInfo<PlaneGolden> &info) {
+        return std::string(info.param.mode);
+    });
+
+// ------------------------------------------------------------ bench CLI
+
+TEST(BenchArgs, StrictIntegerParser)
+{
+    EXPECT_EQ(parseIntArg("--trials", "12", 1, 100), 12);
+    EXPECT_EQ(parseIntArg("--seed", "0", 0LL, LLONG_MAX), 0);
+    const auto rejects = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(parseIntArg("--segments", "abc", 1, 64), rejects,
+                "--segments=\"abc\"");
+    EXPECT_EXIT(parseIntArg("--rows SEGMENTS", "4y", 1, 64), rejects,
+                "--rows SEGMENTS");
+    EXPECT_EXIT(parseIntArg("--trials", "", 1, 100), rejects, "--trials");
+    EXPECT_EXIT(parseIntArg("--trials", "0", 1, 100), rejects,
+                "expected an integer in \\[1, 100\\]");
+    EXPECT_EXIT(parseIntArg("--seed", "99999999999999999999", 0LL,
+                            LLONG_MAX),
+                rejects, "--seed");
+    EXPECT_EXIT(
+        {
+            setenv("MEMTIER_SCALE", "26", 1);
+            benchScale();
+        },
+        rejects, "MEMTIER_SCALE=\"26\"");
 }
 
 }  // namespace

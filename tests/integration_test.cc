@@ -188,13 +188,8 @@ TEST(Modes, ChecksumIdenticalAcrossPlacements)
     rc.sampling = false;
     const RunResult a = runWorkload(rc);
 
-    RunConfig rc2 = rc;
-    rc2.mode = Mode::AllNvm;
-    const RunResult b = runWorkload(rc2);
-
-    RunConfig rc3 = rc;
-    rc3.mode = Mode::AllDram;
-    const RunResult c = runWorkload(rc3);
+    const RunResult b = runWorkload(tierBoundConfig(rc, MemNode::NVM));
+    const RunResult c = runWorkload(tierBoundConfig(rc, MemNode::DRAM));
 
     EXPECT_EQ(a.outputChecksum, b.outputChecksum);
     EXPECT_EQ(a.outputChecksum, c.outputChecksum);
@@ -204,12 +199,8 @@ TEST(Modes, AllDramFasterThanAllNvm)
 {
     RunConfig rc = smallConfig(App::BFS, GraphKind::Kron);
     rc.sampling = false;
-    RunConfig dram_cfg = rc;
-    dram_cfg.mode = Mode::AllDram;
-    RunConfig nvm_cfg = rc;
-    nvm_cfg.mode = Mode::AllNvm;
-    const RunResult dram = runWorkload(dram_cfg);
-    const RunResult nvm = runWorkload(nvm_cfg);
+    const RunResult dram = runWorkload(tierBoundConfig(rc, MemNode::DRAM));
+    const RunResult nvm = runWorkload(tierBoundConfig(rc, MemNode::NVM));
     EXPECT_LT(dram.totalSeconds, nvm.totalSeconds);
 }
 
@@ -217,7 +208,7 @@ TEST(Modes, NoTieringNeverMigrates)
 {
     // Section 6.6: with AutoNUMA disabled every counter's delta is 0.
     RunConfig rc = smallConfig(App::CC, GraphKind::Urand);
-    rc.mode = Mode::NoTiering;
+    rc.policy.clear();
     rc.sampling = false;
     const RunResult r = runWorkload(rc);
     EXPECT_EQ(r.vmstat.pgpromoteSuccess, 0u);
@@ -232,12 +223,9 @@ TEST(Modes, ObjectStaticReducesNvmSamplesAndTime)
     // The headline result (Figure 11) at reduced scale.
     RunConfig rc = smallConfig(App::BC, GraphKind::Kron);
     const RunResult base = runWorkload(rc);
-    const PlacementPlan plan =
-        planFromProfile(base, rc.sys.dram.capacityBytes, false);
-
     RunConfig rc2 = rc;
-    rc2.mode = Mode::ObjectStatic;
-    const RunResult obj = runWorkload(rc2, &plan);
+    rc2.placement = planFromProfile(base, rc.sys.dram.capacityBytes, false);
+    const RunResult obj = runWorkload(rc2);
 
     EXPECT_EQ(base.outputChecksum, obj.outputChecksum);
     const ExternalSplit es_base = externalSplit(base.samples);

@@ -181,7 +181,7 @@ TEST_F(PolicyKernelTest, RegistryListsBuiltinsSorted)
         PolicyRegistry::instance().names();
     EXPECT_EQ(names, (std::vector<std::string>{
                          "autonuma", "autotune", "dram-only",
-                         "exchange", "interleave"}));
+                         "exchange", "interleave", "object-dynamic"}));
     for (const std::string &name : names) {
         EXPECT_TRUE(PolicyRegistry::instance().contains(name));
         EXPECT_FALSE(
@@ -482,6 +482,31 @@ TEST(AutoNumaRegression, AutotuneObserveOnlyMatchesSeed)
     EXPECT_EQ(r.policyName, "autotune");
     EXPECT_FALSE(r.metricsEpochs.empty());
     expectGolden(r);
+}
+
+TEST(AutoNumaRegression, AutotuneObserveOnlyMatchesObjectDynamic)
+{
+    // The same observe-only identity with object-dynamic as the base:
+    // the wrapper forwards the base's access observer and scan clock,
+    // so the wrapped run must be bit-identical to the bare policy.
+    RunConfig rc = goldenConfig();
+    rc.policy = "object-dynamic";
+    rc.tunables = {"interval_ms=2"};
+    const RunResult bare = runWorkload(rc);
+    rc.policy = "autotune";
+    rc.tunables = {"base=object-dynamic", "max_steps=0", "interval_ms=2"};
+    const RunResult tuned = runWorkload(rc);
+    EXPECT_EQ(tuned.policyName, "autotune");
+    EXPECT_FALSE(tuned.metricsEpochs.empty());
+    EXPECT_GT(bare.vmstat.pgpromoteSuccess, 0u);
+    EXPECT_EQ(tuned.totalSeconds, bare.totalSeconds);
+    for (int l = 0; l < kNumMemLevels; ++l)
+        EXPECT_EQ(tuned.levelCounts[l], bare.levelCounts[l]);
+    EXPECT_EQ(tuned.outputChecksum, bare.outputChecksum);
+    EXPECT_EQ(tuned.vmstat.pgpromoteSuccess, bare.vmstat.pgpromoteSuccess);
+    EXPECT_EQ(tuned.vmstat.pgdemoteKswapd, bare.vmstat.pgdemoteKswapd);
+    EXPECT_EQ(tuned.vmstat.pgdemoteDirect, bare.vmstat.pgdemoteDirect);
+    EXPECT_EQ(tuned.vmstat.pgmigrateSuccess, bare.vmstat.pgmigrateSuccess);
 }
 
 // --------------------------------------------------- Policy end-to-end

@@ -383,7 +383,7 @@ TEST(ServingDriver, QueueingShowsUpInLatency)
     // trickle run's idle gaps don't accrue hinting faults that would
     // mask the queueing delta.
     SystemConfig cfg = tinyConfig();
-    cfg.autonumaEnabled = false;
+    cfg.policyName.clear();
     ServingSpec relaxed = smallSpec(ServeApp::KV);
     relaxed.gen.requests = 500;
     relaxed.gen.baseRate = 1e3;  // Effectively idle servers.

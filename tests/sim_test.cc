@@ -280,7 +280,7 @@ TEST(Engine, ObserverLatencyPositive)
 TEST(Engine, AutonumaDisabledHasNoPolicy)
 {
     SystemConfig cfg = tinyConfig(1);
-    cfg.autonumaEnabled = false;
+    cfg.policyName.clear();
     Engine eng(cfg);
     EXPECT_EQ(eng.autonuma(), nullptr);
 }
