@@ -15,7 +15,6 @@
  */
 
 #include <climits>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -57,42 +56,6 @@ joinedEffective(const RunResult &r)
         out += key + "=" + value;
     }
     return out;
-}
-
-App
-parseApp(const std::string &s)
-{
-    if (s == "bc") return App::BC;
-    if (s == "bfs") return App::BFS;
-    if (s == "cc") return App::CC;
-    if (s == "pr") return App::PR;
-    if (s == "sssp") return App::SSSP;
-    if (s == "kv") return App::KV;
-    if (s == "lsm") return App::LSM;
-    fatal("unknown app '%s' (expected bc, bfs, cc, pr, sssp, kv or lsm)",
-          s.c_str());
-}
-
-GraphKind
-parseKind(const std::string &s)
-{
-    if (s == "kron") return GraphKind::Kron;
-    if (s == "urand") return GraphKind::Urand;
-    fatal("unknown graph kind '%s' (expected kron or urand)", s.c_str());
-}
-
-WorkloadSpec
-parseWorkload(const std::string &s, int scale, int trials)
-{
-    const std::size_t colon = s.find(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= s.size())
-        fatal("malformed workload '%s' (expected APP:KIND)", s.c_str());
-    WorkloadSpec w;
-    w.app = parseApp(s.substr(0, colon));
-    w.kind = parseKind(s.substr(colon + 1));
-    w.scale = scale;
-    w.trials = trials;
-    return w;
 }
 
 }  // namespace
@@ -210,51 +173,29 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    std::ofstream csv(csv_path);
-    if (!csv)
-        fatal("cannot open %s", csv_path.c_str());
-    csv << "workload,default_seconds,tuned_seconds,speedup,"
-           "tuner_epochs,tuner_applied,tuner_accepted,tuner_reverted,"
-           "effective_tunables\n";
+    BenchRecord rec;
+    rec.set("bench", "autotune_sweep")
+        .set("scale", scale)
+        .set("seed", seed)
+        .set("epoch_ms", epoch_ms);
     for (const Cell &c : cells) {
-        csv << c.workload << "," << c.def.totalSeconds << ","
-            << c.tuned.totalSeconds << ","
-            << c.def.totalSeconds / c.tuned.totalSeconds << ","
-            << counter(c.tuned, "tuner_epochs") << ","
-            << counter(c.tuned, "tuner_applied") << ","
-            << counter(c.tuned, "tuner_accepted") << ","
-            << counter(c.tuned, "tuner_reverted") << ","
-            << joinedEffective(c.tuned) << "\n";
+        const std::string effective = joinedEffective(c.tuned);
+        // Readers know the post-tuning values under two names:
+        // effective_tunables in the CSV, effective in the JSON.
+        rec.addRow("cells")
+            .set("workload", c.workload)
+            .set("default_seconds", c.def.totalSeconds)
+            .set("tuned_seconds", c.tuned.totalSeconds)
+            .set("speedup", c.def.totalSeconds / c.tuned.totalSeconds)
+            .set("tuner_epochs", counter(c.tuned, "tuner_epochs"))
+            .set("tuner_applied", counter(c.tuned, "tuner_applied"))
+            .set("tuner_accepted", counter(c.tuned, "tuner_accepted"))
+            .set("tuner_reverted", counter(c.tuned, "tuner_reverted"))
+            .set("effective_tunables", effective)
+            .set("effective", effective);
     }
-    csv.close();
-
-    std::ofstream json(out_path);
-    if (!json)
-        fatal("cannot open %s", out_path.c_str());
-    json << "{\n"
-         << "  \"bench\": \"autotune_sweep\",\n"
-         << "  \"scale\": " << scale << ",\n"
-         << "  \"seed\": " << seed << ",\n"
-         << "  \"epoch_ms\": " << epoch_ms << ",\n"
-         << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const Cell &c = cells[i];
-        json << "    {\"workload\": \"" << c.workload
-             << "\", \"default_seconds\": " << c.def.totalSeconds
-             << ", \"tuned_seconds\": " << c.tuned.totalSeconds
-             << ",\n     \"speedup\": "
-             << c.def.totalSeconds / c.tuned.totalSeconds
-             << ", \"tuner_epochs\": " << counter(c.tuned, "tuner_epochs")
-             << ", \"tuner_applied\": "
-             << counter(c.tuned, "tuner_applied")
-             << ", \"tuner_accepted\": "
-             << counter(c.tuned, "tuner_accepted")
-             << ", \"tuner_reverted\": "
-             << counter(c.tuned, "tuner_reverted")
-             << ",\n     \"effective\": \"" << joinedEffective(c.tuned)
-             << "\"}" << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
+    rec.writeCsv("cells", csv_path);
+    rec.writeJson(out_path);
 
     std::cout << "\nwrote " << out_path << " and " << csv_path << " ("
               << cells.size() << " cells)\n";

@@ -20,9 +20,7 @@
  */
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,22 +32,6 @@
 using namespace memtier;
 
 namespace {
-
-/** Simulated cycles -> microseconds. */
-double
-usec(double cycles)
-{
-    return cycles * 1e6 / static_cast<double>(kCyclesPerSecond);
-}
-
-/** One (policy, erosion level) measurement. */
-struct Cell
-{
-    std::string policy;
-    double ceProb = 0.0;
-    double ueProb = 0.0;
-    RunResult r;
-};
 
 /** Fraction of the DRAM tier retired by the end of the run. */
 double
@@ -63,18 +45,6 @@ dramRetiredFraction(const RunResult &r)
         return 0.0;
     return static_cast<double>(numa.retiredPages[d]) /
            static_cast<double>(total);
-}
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
 }
 
 }  // namespace
@@ -142,7 +112,13 @@ main(int argc, char **argv)
     ServingSpec ref_spec;  // For the SLO threshold only.
     const Cycles slo = ref_spec.sloCycles();
 
-    std::vector<Cell> cells;
+    TextTable table({"policy", "ce prob", "dram retired", "p50 (us)",
+                     "p99 (us)", "slo viol", "availability", "errors"});
+    BenchRecord rec;
+    rec.set("bench", "degradation_sweep")
+        .set("scale", scale)
+        .set("requests", trials * 5000)
+        .set("slo_usec", ref_spec.sloMicros);
     for (const std::string &policy : policies) {
         for (const double ce : levels) {
             WorkloadSpec w;
@@ -159,98 +135,53 @@ main(int argc, char **argv)
                 makeDramParams(scaledCapacity(24 * kMiB, scale));
             rc.sys.nvm =
                 makeNvmParams(scaledCapacity(96 * kMiB, scale));
+            const double ue = ce > 0.0 ? ce / 8.0 : 0.0;
             if (ce > 0.0) {
                 rc.sys.faults.at(FaultPoint::EccCorrectable)
                     .probability = ce;
                 rc.sys.faults.at(FaultPoint::EccUncorrectable)
-                    .probability = ce / 8.0;
+                    .probability = ue;
                 rc.sys.faults.seed = 7;
             }
             std::cerr << "running kv [" << policy << ", ce=" << ce
                       << "]...\n";
+            const RunResult r = runWorkload(rc);
+            MEMTIER_ASSERT(r.hasServing, "serving run produced no report");
 
-            Cell c;
-            c.policy = policy;
-            c.ceProb = ce;
-            c.ueProb = ce > 0.0 ? ce / 8.0 : 0.0;
-            c.r = runWorkload(rc);
-            MEMTIER_ASSERT(c.r.hasServing,
-                           "serving run produced no report");
-            cells.push_back(std::move(c));
+            const ServingReport &s = r.serving;
+            const VmStat &v = r.vmstat;
+            table.addRow({policy, num(ce, 6),
+                          num(dramRetiredFraction(r), 4),
+                          num(usec(s.latency.percentile(0.50)), 2),
+                          num(usec(s.latency.percentile(0.99)), 2),
+                          num(s.sloViolationFraction(slo), 4),
+                          num(s.availability(), 6),
+                          num(static_cast<double>(s.errors), 0)});
+            rec.addRow("cells")
+                .set("policy", policy)
+                .set("ce_prob", ce)
+                .set("ue_prob", ue)
+                .set("requests", s.requests)
+                .set("errors", s.errors)
+                .set("availability", s.availability())
+                .set("dram_retired_fraction", dramRetiredFraction(r))
+                .set("frames_retired", v.hwpoisonFramesRetired)
+                .set("soft_offline", v.hwpoisonSoftOffline)
+                .set("soft_offline_fail", v.hwpoisonSoftOfflineFail)
+                .set("sigbus", v.hwpoisonSigbus)
+                .set("cache_dropped", v.hwpoisonCacheDropped)
+                .set("p50_usec", usec(s.latency.percentile(0.50)))
+                .set("p99_usec", usec(s.latency.percentile(0.99)))
+                .set("p999_usec", usec(s.latency.percentile(0.999)))
+                .set("slo_violation", s.sloViolationFraction(slo))
+                .set("total_sec", r.totalSeconds);
         }
     }
-
-    TextTable table({"policy", "ce prob", "dram retired", "p50 (us)",
-                     "p99 (us)", "slo viol", "availability", "errors"});
-    for (const Cell &c : cells) {
-        const ServingReport &s = c.r.serving;
-        table.addRow({c.policy, num(c.ceProb, 6),
-                      num(dramRetiredFraction(c.r), 4),
-                      num(usec(s.latency.percentile(0.50)), 2),
-                      num(usec(s.latency.percentile(0.99)), 2),
-                      num(s.sloViolationFraction(slo), 4),
-                      num(s.availability(), 6),
-                      num(static_cast<double>(s.errors), 0)});
-    }
     table.print(std::cout);
-
-    std::ofstream csv(csv_path);
-    if (!csv)
-        fatal("cannot open %s", csv_path.c_str());
-    csv << "policy,ce_prob,ue_prob,requests,errors,availability,"
-           "dram_retired_fraction,frames_retired,soft_offline,"
-           "soft_offline_fail,sigbus,cache_dropped,p50_usec,p99_usec,"
-           "p999_usec,slo_violation,total_sec\n";
-    for (const Cell &c : cells) {
-        const ServingReport &s = c.r.serving;
-        const VmStat &v = c.r.vmstat;
-        csv << c.policy << "," << c.ceProb << "," << c.ueProb << ","
-            << s.requests << "," << s.errors << "," << s.availability()
-            << "," << dramRetiredFraction(c.r) << ","
-            << v.hwpoisonFramesRetired << "," << v.hwpoisonSoftOffline
-            << "," << v.hwpoisonSoftOfflineFail << ","
-            << v.hwpoisonSigbus << "," << v.hwpoisonCacheDropped << ","
-            << usec(s.latency.percentile(0.50)) << ","
-            << usec(s.latency.percentile(0.99)) << ","
-            << usec(s.latency.percentile(0.999)) << ","
-            << s.sloViolationFraction(slo) << "," << c.r.totalSeconds
-            << "\n";
-    }
-    csv.close();
-
-    std::ofstream json(out_path);
-    if (!json)
-        fatal("cannot open %s", out_path.c_str());
-    json << "{\n"
-         << "  \"bench\": \"degradation_sweep\",\n"
-         << "  \"scale\": " << scale << ",\n"
-         << "  \"requests\": " << trials * 5000 << ",\n"
-         << "  \"slo_usec\": " << ref_spec.sloMicros << ",\n"
-         << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const Cell &c = cells[i];
-        const ServingReport &s = c.r.serving;
-        const VmStat &v = c.r.vmstat;
-        json << "    {\"policy\": \"" << c.policy
-             << "\", \"ce_prob\": " << c.ceProb
-             << ", \"ue_prob\": " << c.ueProb << ",\n"
-             << "     \"dram_retired_fraction\": "
-             << dramRetiredFraction(c.r)
-             << ", \"frames_retired\": " << v.hwpoisonFramesRetired
-             << ", \"sigbus\": " << v.hwpoisonSigbus << ",\n"
-             << "     \"requests\": " << s.requests
-             << ", \"errors\": " << s.errors
-             << ", \"availability\": " << s.availability() << ",\n"
-             << "     \"p50_usec\": " << usec(s.latency.percentile(0.50))
-             << ", \"p99_usec\": " << usec(s.latency.percentile(0.99))
-             << ", \"p999_usec\": "
-             << usec(s.latency.percentile(0.999))
-             << ", \"slo_violation\": " << s.sloViolationFraction(slo)
-             << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
+    rec.writeCsv("cells", csv_path);
+    rec.writeJson(out_path);
 
     std::cout << "\nwrote " << out_path << " and " << csv_path << " ("
-              << cells.size() << " cells)\n";
+              << table.rows() << " cells)\n";
     return 0;
 }

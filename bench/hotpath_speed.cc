@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -148,7 +147,11 @@ main(int argc, char **argv)
     std::cout << "hotpath_speed: pr:kron sweep, " << trials
               << " trials per scale, best of " << reps << " reps\n";
 
-    std::vector<ScaleResult> sweep;
+    BenchRecord rec;
+    rec.set("bench", "hotpath_speed")
+        .set("workload", "pr_kron_sweep")
+        .set("trials", trials)
+        .set("reps", reps);
     std::uint64_t accesses = 0;
     double scalar_wall = 0.0;
     double batched_wall = 0.0;
@@ -164,7 +167,12 @@ main(int argc, char **argv)
                   << " accesses, scalar " << res.scalarWall
                   << " s, batched " << res.batchedWall << " s, "
                   << s << "x\n";
-        sweep.push_back(res);
+        rec.addRow("per_scale")
+            .set("scale", res.scale)
+            .set("accesses", res.accesses)
+            .set("scalar_wall_sec", res.scalarWall)
+            .set("batched_wall_sec", res.batchedWall)
+            .set("speedup", s);
     }
 
     if (!identical) {
@@ -191,38 +199,14 @@ main(int argc, char **argv)
               << (identical ? "true" : "false") << "\n";
 
     if (!out_path.empty()) {
-        std::ofstream out(out_path);
-        if (!out) {
-            std::cerr << "hotpath_speed: cannot write " << out_path
-                      << "\n";
-            return 1;
-        }
-        out << "{\n"
-            << "  \"bench\": \"hotpath_speed\",\n"
-            << "  \"workload\": \"pr_kron_sweep\",\n"
-            << "  \"trials\": " << trials << ",\n"
-            << "  \"reps\": " << reps << ",\n"
-            << "  \"per_scale\": [\n";
-        for (std::size_t i = 0; i < sweep.size(); ++i) {
-            const ScaleResult &r = sweep[i];
-            out << "    {\"scale\": " << r.scale << ", \"accesses\": "
-                << r.accesses << ", \"scalar_wall_sec\": "
-                << r.scalarWall << ", \"batched_wall_sec\": "
-                << r.batchedWall << ", \"speedup\": "
-                << (r.scalarWall / r.batchedWall) << "}"
-                << (i + 1 < sweep.size() ? "," : "") << "\n";
-        }
-        out << "  ],\n"
-            << "  \"accesses\": " << accesses << ",\n"
-            << "  \"scalar_wall_sec\": " << scalar_wall << ",\n"
-            << "  \"batched_wall_sec\": " << batched_wall << ",\n"
-            << "  \"scalar_accesses_per_sec\": " << scalar_aps << ",\n"
-            << "  \"batched_accesses_per_sec\": " << batched_aps
-            << ",\n"
-            << "  \"speedup\": " << speedup << ",\n"
-            << "  \"bit_identical\": "
-            << (identical ? "true" : "false") << "\n"
-            << "}\n";
+        rec.set("accesses", accesses)
+            .set("scalar_wall_sec", scalar_wall)
+            .set("batched_wall_sec", batched_wall)
+            .set("scalar_accesses_per_sec", scalar_aps)
+            .set("batched_accesses_per_sec", batched_aps)
+            .set("speedup", speedup)
+            .set("bit_identical", identical);
+        rec.writeJson(out_path);
         std::cout << "  wrote " << out_path << "\n";
     }
     return 0;

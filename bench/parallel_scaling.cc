@@ -13,12 +13,12 @@
  */
 
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "base/logging.h"
+#include "bench_common.h"
 #include "os/kernel.h"
 #include "os/physical_memory.h"
 
@@ -107,34 +107,24 @@ main(int argc, char **argv)
 
     std::cout << "parallel_scaling: huge-promotion storm, " << kHuge
               << " x 2 MiB\n";
+    BenchRecord rec;
+    rec.set("bench", "parallel_scaling")
+        .set("workload", "huge_promotion_storm")
+        .set("huge_pages", kHuge);
     std::vector<double> bps;
     for (const std::uint32_t w : workers) {
         bps.push_back(migrationStormBandwidth(w));
         std::cout << "  copy workers " << w << ": migration "
                   << bps.back() / 1e9 << " GB/s (" << bps.back() / bps[0]
                   << "x)\n";
+        rec.addRow("per_workers")
+            .set("workers", w)
+            .set("migration_bytes_per_sec", bps.back())
+            .set("migration_speedup", bps.back() / bps[0]);
     }
 
     if (!out_path.empty()) {
-        std::ofstream out(out_path);
-        if (!out) {
-            std::cerr << "parallel_scaling: cannot write " << out_path
-                      << "\n";
-            return 1;
-        }
-        out << "{\n"
-            << "  \"bench\": \"parallel_scaling\",\n"
-            << "  \"workload\": \"huge_promotion_storm\",\n"
-            << "  \"huge_pages\": " << kHuge << ",\n"
-            << "  \"per_workers\": [\n";
-        for (std::size_t i = 0; i < workers.size(); ++i) {
-            out << "    {\"workers\": " << workers[i]
-                << ", \"migration_bytes_per_sec\": " << bps[i]
-                << ", \"migration_speedup\": " << bps[i] / bps[0] << "}"
-                << (i + 1 < workers.size() ? "," : "") << "\n";
-        }
-        out << "  ]\n"
-            << "}\n";
+        rec.writeJson(out_path);
         std::cout << "  wrote " << out_path << "\n";
     }
     return 0;

@@ -26,7 +26,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -89,24 +88,6 @@ peakRssBytes()
     return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
 }
 
-struct RowResult
-{
-    SweepRow row;
-    std::uint64_t footprintBytes = 0;
-    std::int64_t nodes = 0;
-    std::int64_t edges = 0;
-    double loadSimSec = 0.0;
-    double computeSimSec = 0.0;
-    std::uint64_t totalAccesses = 0;
-    double wallSec = 0.0;
-    double accessesPerSec = 0.0;
-    std::uint64_t copyBytes = 0;
-    double dramHitFraction = 0.0;
-    std::uint64_t promoted = 0;
-    std::uint64_t demoted = 0;
-    std::uint64_t peakRss = 0;
-};
-
 const SweepMode *
 parseMode(const std::string &s)
 {
@@ -117,16 +98,6 @@ parseMode(const std::string &s)
     fatal("scale_sweep: unknown mode '%s' (expected autonuma, "
           "notiering, all_nvm or all_dram)",
           s.c_str());
-}
-
-GraphKind
-parseKind(const std::string &s)
-{
-    if (s == "kron")
-        return GraphKind::Kron;
-    if (s == "urand")
-        return GraphKind::Urand;
-    fatal("scale_sweep: unknown kind '%s'", s.c_str());
 }
 
 SweepRow
@@ -151,8 +122,16 @@ parseRow(const std::string &s)
     return row;
 }
 
-RowResult
-runRow(const SweepRow &row, int trials)
+std::string
+rowLabel(const SweepRow &r)
+{
+    return std::to_string(r.scale) + ":" + graphKindName(r.kind) + ":" +
+           r.mode->label + ":" + std::to_string(r.segments);
+}
+
+/** Run one cell, print its summary line and append it to @p rec. */
+void
+runRow(const SweepRow &row, int trials, BenchRecord &rec)
 {
     RunConfig rc;
     rc.workload.app = App::PR;
@@ -193,35 +172,50 @@ runRow(const SweepRow &row, int trials)
     const RunResult r = runWorkload(rc);
     const auto t1 = std::chrono::steady_clock::now();
 
-    RowResult out;
-    out.row = row;
-    out.nodes = 1LL << row.scale;
-    out.loadSimSec = r.loadSeconds;
-    out.computeSimSec = r.computeSeconds;
-    out.totalAccesses = r.totalAccesses;
-    out.wallSec = std::chrono::duration<double>(t1 - t0).count();
-    out.accessesPerSec =
-        static_cast<double>(r.totalAccesses) / out.wallSec;
-    out.copyBytes = r.copyBytes;
+    const double wall_sec = std::chrono::duration<double>(t1 - t0).count();
+    const double accesses_per_sec =
+        static_cast<double>(r.totalAccesses) / wall_sec;
     const std::uint64_t dram =
         r.levelCounts[static_cast<int>(MemLevel::DRAM)];
     const std::uint64_t nvm =
         r.levelCounts[static_cast<int>(MemLevel::NVM)];
-    out.dramHitFraction =
+    const double dram_hit_fraction =
         dram + nvm > 0
             ? static_cast<double>(dram) /
                   static_cast<double>(dram + nvm)
             : 0.0;
-    out.promoted = r.vmstat.pgpromoteSuccess;
-    out.demoted = r.vmstat.pgdemoteKswapd + r.vmstat.pgdemoteDirect;
-    out.peakRss = peakRssBytes();
-
+    const std::uint64_t peak_rss = peakRssBytes();
     // Footprint of the segmented CSR = what the builder materialized.
-    out.edges = art.totalEdges;
-    out.footprintBytes =
+    const std::uint64_t footprint_bytes =
         static_cast<std::uint64_t>(art.nodes + art.segments) * 8 +
         static_cast<std::uint64_t>(art.totalEdges) * 4;
-    return out;
+
+    std::cout << "  " << rowLabel(row) << ": footprint "
+              << (footprint_bytes >> 20) << " MiB, " << r.totalAccesses
+              << " accesses, "
+              << static_cast<std::uint64_t>(accesses_per_sec)
+              << " accesses/s, dram_hit " << dram_hit_fraction
+              << ", migrated " << (r.copyBytes >> 20)
+              << " MiB, peak rss " << (peak_rss >> 20) << " MiB\n";
+    rec.addRow("rows")
+        .set("scale", row.scale)
+        .set("kind", graphKindName(row.kind))
+        .set("mode", row.mode->label)
+        .set("segments", row.segments)
+        .set("nodes", 1LL << row.scale)
+        .set("edges", art.totalEdges)
+        .set("footprint_bytes", footprint_bytes)
+        .set("load_sim_sec", r.loadSeconds)
+        .set("compute_sim_sec", r.computeSeconds)
+        .set("total_accesses", r.totalAccesses)
+        .set("wall_sec", wall_sec)
+        .set("accesses_per_sec", accesses_per_sec)
+        .set("copy_bytes", r.copyBytes)
+        .set("dram_hit_fraction", dram_hit_fraction)
+        .set("pgpromote", r.vmstat.pgpromoteSuccess)
+        .set("pgdemote",
+             r.vmstat.pgdemoteKswapd + r.vmstat.pgdemoteDirect)
+        .set("peak_rss_bytes", peak_rss);
 }
 
 /**
@@ -266,13 +260,6 @@ segment1BitIdentical()
                eng_a.levelCount(static_cast<MemLevel>(l));
     }
     return same;
-}
-
-std::string
-rowLabel(const SweepRow &r)
-{
-    return std::to_string(r.scale) + ":" + graphKindName(r.kind) + ":" +
-           r.mode->label + ":" + std::to_string(r.segments);
 }
 
 }  // namespace
@@ -338,7 +325,11 @@ main(int argc, char **argv)
         clearBigraphArtifacts();
     }
 
-    std::vector<RowResult> results;
+    BenchRecord rec;
+    rec.set("bench", "scale_sweep")
+        .set("app", "pr")
+        .set("trials", trials)
+        .set("segment1_bit_identical", golden);
     int last_scale = -1;
     for (const SweepRow &row : rows) {
         if (last_scale != -1 && row.scale != last_scale) {
@@ -346,52 +337,12 @@ main(int argc, char **argv)
             clearBigraphArtifacts();
         }
         last_scale = row.scale;
-        results.push_back(runRow(row, trials));
-        const RowResult &r = results.back();
-        std::cout << "  " << rowLabel(row) << ": footprint "
-                  << (r.footprintBytes >> 20) << " MiB, "
-                  << r.totalAccesses << " accesses, "
-                  << static_cast<std::uint64_t>(r.accessesPerSec)
-                  << " accesses/s, dram_hit "
-                  << r.dramHitFraction << ", migrated "
-                  << (r.copyBytes >> 20) << " MiB, peak rss "
-                  << (r.peakRss >> 20) << " MiB\n";
+        runRow(row, trials, rec);
     }
     clearBigraphArtifacts();
 
-    std::ofstream out(out_path);
-    if (!out) {
-        std::cerr << "scale_sweep: cannot write " << out_path << "\n";
-        return 1;
-    }
-    out << "{\n"
-        << "  \"bench\": \"scale_sweep\",\n"
-        << "  \"app\": \"pr\",\n"
-        << "  \"trials\": " << trials << ",\n"
-        << "  \"segment1_bit_identical\": "
-        << (golden ? "true" : "false") << ",\n"
-        << "  \"rows\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const RowResult &r = results[i];
-        out << "    {\"scale\": " << r.row.scale << ", \"kind\": \""
-            << graphKindName(r.row.kind) << "\", \"mode\": \""
-            << r.row.mode->label << "\", \"segments\": "
-            << r.row.segments << ", \"nodes\": " << r.nodes
-            << ", \"edges\": " << r.edges << ", \"footprint_bytes\": "
-            << r.footprintBytes << ", \"load_sim_sec\": "
-            << r.loadSimSec << ", \"compute_sim_sec\": "
-            << r.computeSimSec << ", \"total_accesses\": "
-            << r.totalAccesses << ", \"wall_sec\": " << r.wallSec
-            << ", \"accesses_per_sec\": " << r.accessesPerSec
-            << ", \"copy_bytes\": " << r.copyBytes
-            << ", \"dram_hit_fraction\": " << r.dramHitFraction
-            << ", \"pgpromote\": " << r.promoted << ", \"pgdemote\": "
-            << r.demoted << ", \"peak_rss_bytes\": " << r.peakRss
-            << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n"
-        << "}\n";
-    std::cout << "wrote " << out_path << " (" << results.size()
+    rec.writeJson(out_path);
+    std::cout << "wrote " << out_path << " (" << rows.size()
               << " rows)\n";
     return 0;
 }

@@ -17,9 +17,7 @@
  *                [--out=PATH.json] [--csv=PATH.csv]
  */
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,13 +30,6 @@ using namespace memtier;
 
 namespace {
 
-/** Simulated cycles -> microseconds. */
-double
-usec(double cycles)
-{
-    return cycles * 1e6 / static_cast<double>(kCyclesPerSecond);
-}
-
 /** One (app, policy, thp) measurement. */
 struct Cell
 {
@@ -47,18 +38,6 @@ struct Cell
     bool thp = false;
     RunResult r;
 };
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
 
 }  // namespace
 
@@ -184,68 +163,45 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    std::ofstream csv(csv_path);
-    if (!csv)
-        fatal("cannot open %s", csv_path.c_str());
-    csv << "workload,policy,thp,requests,p50_usec,p99_usec,p999_usec,"
-           "mean_usec,max_usec,slo_violation,offpeak_p99_usec,"
-           "peak_p99_usec,storm_p99_usec,offpeak_violation,"
-           "peak_violation,storm_violation,prefill_sec,total_sec,"
-           "checksum\n";
+    BenchRecord rec;
+    rec.set("bench", "serving_tail")
+        .set("scale", scale)
+        .set("requests", trials * 5000)
+        .set("slo_usec", ref_spec.sloMicros);
     for (const Cell &c : cells) {
         const ServingReport &s = c.r.serving;
-        csv << c.workload << "," << c.policy << ","
-            << (c.thp ? 1 : 0) << "," << s.requests << ","
-            << usec(s.latency.percentile(0.50)) << ","
-            << usec(s.latency.percentile(0.99)) << ","
-            << usec(s.latency.percentile(0.999)) << ","
-            << usec(s.latency.mean()) << ","
-            << usec(static_cast<double>(s.latency.max())) << ","
-            << s.sloViolationFraction(slo);
-        for (int ph = 0; ph < kNumServePhases; ++ph)
-            csv << "," << usec(s.phaseLatency[ph].percentile(0.99));
-        for (int ph = 0; ph < kNumServePhases; ++ph)
-            csv << "," << s.phaseLatency[ph].violationFraction(slo);
-        csv << "," << s.prefillSeconds << "," << c.r.totalSeconds << ","
-            << c.r.outputChecksum << "\n";
-    }
-    csv.close();
-
-    std::ofstream json(out_path);
-    if (!json)
-        fatal("cannot open %s", out_path.c_str());
-    json << "{\n"
-         << "  \"bench\": \"serving_tail\",\n"
-         << "  \"scale\": " << scale << ",\n"
-         << "  \"requests\": " << trials * 5000 << ",\n"
-         << "  \"slo_usec\": " << ref_spec.sloMicros << ",\n"
-         << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const Cell &c = cells[i];
-        const ServingReport &s = c.r.serving;
-        json << "    {\"workload\": \"" << c.workload
-             << "\", \"policy\": \"" << c.policy << "\", \"thp\": "
-             << (c.thp ? "true" : "false") << ",\n"
-             << "     \"p50_usec\": " << usec(s.latency.percentile(0.50))
-             << ", \"p99_usec\": " << usec(s.latency.percentile(0.99))
-             << ", \"p999_usec\": "
-             << usec(s.latency.percentile(0.999)) << ",\n"
-             << "     \"mean_usec\": " << usec(s.latency.mean())
-             << ", \"slo_violation\": " << s.sloViolationFraction(slo)
-             << ", \"checksum\": " << c.r.outputChecksum << ",\n"
-             << "     \"phases\": {";
+        BenchRecord &row = rec.addRow("cells");
+        row.set("workload", c.workload)
+            .set("policy", c.policy)
+            .set("thp", c.thp)
+            .set("requests", s.requests)
+            .set("p50_usec", usec(s.latency.percentile(0.50)))
+            .set("p99_usec", usec(s.latency.percentile(0.99)))
+            .set("p999_usec", usec(s.latency.percentile(0.999)))
+            .set("mean_usec", usec(s.latency.mean()))
+            .set("max_usec", usec(static_cast<double>(s.latency.max())))
+            .set("slo_violation", s.sloViolationFraction(slo));
         for (int ph = 0; ph < kNumServePhases; ++ph) {
             const auto &h = s.phaseLatency[ph];
-            json << (ph ? ", " : "") << "\""
-                 << servePhaseName(static_cast<ServePhase>(ph))
-                 << "\": {\"requests\": " << h.count()
-                 << ", \"p99_usec\": " << usec(h.percentile(0.99))
-                 << ", \"violation\": " << h.violationFraction(slo)
-                 << "}";
+            const std::string name =
+                servePhaseName(static_cast<ServePhase>(ph));
+            row.set(name + "_p99_usec", usec(h.percentile(0.99)))
+                .set(name + "_violation", h.violationFraction(slo));
         }
-        json << "}}" << (i + 1 < cells.size() ? "," : "") << "\n";
+        row.set("prefill_sec", s.prefillSeconds)
+            .set("total_sec", c.r.totalSeconds)
+            .set("checksum", c.r.outputChecksum);
+        for (int ph = 0; ph < kNumServePhases; ++ph) {
+            const auto &h = s.phaseLatency[ph];
+            row.object("phases")
+                .object(servePhaseName(static_cast<ServePhase>(ph)))
+                .set("requests", h.count())
+                .set("p99_usec", usec(h.percentile(0.99)))
+                .set("violation", h.violationFraction(slo));
+        }
     }
-    json << "  ]\n}\n";
+    rec.writeCsv("cells", csv_path);
+    rec.writeJson(out_path);
 
     std::cout << "\nwrote " << out_path << " and " << csv_path << " ("
               << cells.size() << " cells)\n";

@@ -24,16 +24,19 @@
 #      pipeline. The hotpath golden tests pin both paths to the same
 #      captured observables, so this pass plus pass 1 is a full
 #      scalar-vs-batched diff of every golden workload;
-#   7. a perf-regression gate: bench/hotpath_speed re-run at its
-#      committed parameters and compared against the checked-in
-#      BENCH_hotpath.json (fails when batched throughput drops below
-#      80% of the recorded baseline), then bench/parallel_scaling:
-#      the simulated copy engine must keep >= 2x migration bandwidth
-#      at 4 copy workers (machine-independent); then bench/scale_sweep
-#      against BENCH_scale.json: the one-segment out-of-core build
-#      must stay bit-identical to the monolithic loader and the
-#      largest committed scale cell must keep >= 80% of its recorded
-#      accesses/sec;
+#   7. perf-regression gates against a same-host baseline: the parent
+#      commit (HEAD^) is checked out in a git worktree and built into
+#      build-base/, and each throughput gate runs the parent's bench
+#      binary and the fresh one on the same cell in 3 alternating
+#      pairs, failing when the median fresh/parent ratio drops below
+#      0.8. bench/hotpath_speed gates batched hot-path throughput;
+#      bench/parallel_scaling: the simulated copy engine must keep
+#      >= 2x migration bandwidth at 4 copy workers (machine-
+#      independent); bench/scale_sweep on the committed
+#      20:kron:autonuma:4 cell: the one-segment out-of-core build must
+#      stay bit-identical to the monolithic loader, the cell's
+#      simulated output must equal its BENCH_scale.json row exactly,
+#      and its accesses/sec must hold against the parent;
 #   8. an ECC chaos pass: the memory-failure end-to-end tests (BFS
 #      under an ecc_ce/ecc_ue plan) and one hot cell of the KV
 #      degradation sweep, both with the invariant checker forced on,
@@ -51,8 +54,11 @@
 #      instances and every output must pass its checker. The benchmark
 #      builds into its own .bench_build/.
 #
-# All builds live in their own build directories so they never disturb
-# an existing developer build/.
+# Every bench writes its record through one writer (BenchRecord in
+# bench/bench_common.h), and every check on a record is a subcommand of
+# one script, tools/gate.py; this file holds no inline gate. All builds
+# live in their own build directories so they never disturb an
+# existing developer build/.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -92,18 +98,7 @@ MEMTIER_FAULT_PLAN="migrate:p=0.1,burst=6;alloc:p=0.03;seed=97" \
 MEMTIER_CHECK_INVARIANTS=ON \
     ./build-ci/bench/scale_sweep --rows=16:kron:autonuma:4 --trials=2 \
     --no-check --out=build-ci/BENCH_scale_smoke.json > /dev/null
-python3 - build-ci/BENCH_scale_smoke.json <<'EOF'
-import json, sys
-row = json.load(open(sys.argv[1]))["rows"][0]
-if row["pgpromote"] == 0:
-    sys.exit("scale smoke FAILED: AutoNUMA promoted nothing on the "
-             "segmented path")
-if not 0.0 < row["dram_hit_fraction"] <= 1.0:
-    sys.exit(f"scale smoke FAILED: dram_hit_fraction "
-             f"{row['dram_hit_fraction']} out of range")
-print(f"scale smoke: {row['pgpromote']} promotions, dram_hit "
-      f"{row['dram_hit_fraction']:.3f} under the invariant checker")
-EOF
+python3 tools/gate.py scale-smoke build-ci/BENCH_scale_smoke.json
 # Object-dynamic smoke: the dynamic object policy selected through the
 # registry, as users select it, under the invariant checker. Its
 # rebalance interval is shortened so rebalances fire inside the short
@@ -113,15 +108,8 @@ MEMTIER_CHECK_INVARIANTS=ON \
     ./build-ci/bench/policy_sweep --policy=object-dynamic \
     --workload=bfs:kron --tunable interval_ms=0.5 \
     --out=build-ci/sweep_object_dynamic.csv > /dev/null
-python3 - build-ci/sweep_object_dynamic.csv <<'EOF'
-import csv, sys
-row = next(csv.DictReader(open(sys.argv[1])))
-if int(row["migrations"]) == 0 or int(row["promotions"]) == 0:
-    sys.exit(f"object-dynamic smoke FAILED: migrations="
-             f"{row['migrations']} promotions={row['promotions']}")
-print(f"object-dynamic smoke: {row['migrations']} migrations "
-      f"({row['promotions']} promotions) under the invariant checker")
-EOF
+python3 tools/gate.py object-dynamic-smoke \
+    build-ci/sweep_object_dynamic.csv
 
 echo "=== [5/10] thp: MEMTIER_THP=ON + invariant checker, tier-1 binaries ==="
 # MEMTIER_THP=ON force-enables the THP model in every Engine; the
@@ -139,73 +127,40 @@ echo "=== [6/10] scalar path: MEMTIER_SCALAR_PATH=ON, tier-1 binaries ==="
 MEMTIER_SCALAR_PATH=ON \
     ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
-echo "=== [7/10] perf gate: hotpath throughput vs committed baseline ==="
-# Re-measure the batched hot path at the baseline's parameters and
-# fail on a >20% throughput regression. The bench itself also fails
-# when the scalar and batched paths stop being bit-identical, so this
-# gate checks correctness and speed in one run.
-./build-ci/bench/hotpath_speed --out=build-ci/BENCH_hotpath_ci.json \
-    > /dev/null
-python3 - BENCH_hotpath.json build-ci/BENCH_hotpath_ci.json <<'EOF'
-import json, sys
-base = json.load(open(sys.argv[1]))["batched_accesses_per_sec"]
-now = json.load(open(sys.argv[2]))["batched_accesses_per_sec"]
-ratio = now / base
-print(f"perf gate: baseline {base:.3e} acc/s, now {now:.3e} acc/s "
-      f"({ratio:.2f}x)")
-if ratio < 0.8:
-    sys.exit("perf gate FAILED: batched hot path regressed >20% "
-             "vs BENCH_hotpath.json (refresh the baseline via "
-             "run_benches.sh if the change is intentional)")
-EOF
+echo "=== [7/10] perf gates: same-host throughput vs the parent commit ==="
+# Throughput is compared against the parent commit built on this host,
+# never against a figure committed from another machine: HEAD^ is
+# checked out in a git worktree and built into build-base/, and each
+# gate alternates parent and fresh runs of the same cell.
+if ! git rev-parse --verify -q 'HEAD^' > /dev/null; then
+    echo "ci.sh: the perf gates need the parent commit HEAD^" \
+         "(fetch with depth >= 2)" >&2
+    exit 1
+fi
+rm -rf build-base/tree
+git worktree prune
+git worktree add --detach build-base/tree 'HEAD^'
+cmake -B build-base/build -S build-base/tree
+cmake --build build-base/build -j "$JOBS" --target hotpath_speed scale_sweep
+git worktree remove --force build-base/tree
+# Batched hot path. The bench itself also fails when the scalar and
+# batched paths stop being bit-identical, so this gate checks
+# correctness and speed in one run.
+python3 tools/gate.py hotpath --base build-base/build/bench/hotpath_speed \
+    --fresh build-ci/bench/hotpath_speed --workdir build-ci
 # Copy-worker scaling of the simulated migration copy engine. The
 # bandwidth is a pure function of the worker count, so it gates on
 # every machine.
 ./build-ci/bench/parallel_scaling \
     --out=build-ci/BENCH_parallel_ci.json > /dev/null
-python3 - build-ci/BENCH_parallel_ci.json <<'EOF'
-import json, sys
-rows = {r["workers"]: r for r in json.load(open(sys.argv[1]))["per_workers"]}
-if 4 not in rows:
-    sys.exit("parallel gate FAILED: no 4-worker row in record")
-mig = rows[4]["migration_speedup"]
-print(f"parallel gate: migration bandwidth at 4 copy workers "
-      f"{mig:.2f}x the 1-worker figure")
-if mig < 2.0:
-    sys.exit("parallel gate FAILED: migration bandwidth at 4 copy "
-             "workers fell below 2x the 1-worker figure")
-EOF
-# Footprint-scale gate: re-run the largest committed cell of the
-# segmented-CSR sweep (the run starts with the segment-1 bit-identity
-# golden check, so a divergent out-of-core build fails here before any
-# throughput comparison) and fail on a >20% accesses/sec regression.
-python3 - BENCH_scale.json <<'EOF' > build-ci/scale_gate_row
-import json, sys
-rec = json.load(open(sys.argv[1]))
-r = max(rec["rows"], key=lambda row: row["scale"])
-print(f"{r['scale']}:{r['kind']}:{r['mode']}:{r['segments']}")
-EOF
-./build-ci/bench/scale_sweep --rows="$(cat build-ci/scale_gate_row)" \
-    --out=build-ci/BENCH_scale_ci.json > /dev/null
-python3 - BENCH_scale.json build-ci/BENCH_scale_ci.json <<'EOF'
-import json, sys
-base_rec = json.load(open(sys.argv[1]))
-now_rec = json.load(open(sys.argv[2]))
-if not now_rec.get("segment1_bit_identical", False):
-    sys.exit("scale gate FAILED: the one-segment out-of-core build is "
-             "no longer bit-identical to the monolithic loader")
-base = max(base_rec["rows"], key=lambda r: r["scale"])
-now = now_rec["rows"][0]
-ratio = now["accesses_per_sec"] / base["accesses_per_sec"]
-print(f"scale gate: scale {base['scale']} {base['kind']} "
-      f"[{base['mode']}] baseline {base['accesses_per_sec']:.3e} "
-      f"acc/s, now {now['accesses_per_sec']:.3e} acc/s ({ratio:.2f}x)")
-if ratio < 0.8:
-    sys.exit("scale gate FAILED: segmented-path throughput regressed "
-             ">20% vs BENCH_scale.json at the largest committed scale "
-             "(refresh the baseline via run_benches.sh if the change "
-             "is intentional)")
-EOF
+python3 tools/gate.py parallel build-ci/BENCH_parallel_ci.json
+# Footprint-scale gate on one committed cell of the segmented-CSR
+# sweep: every fresh run starts with the segment-1 bit-identity golden
+# check and must reproduce the cell's committed simulated output
+# exactly before its throughput counts.
+python3 tools/gate.py scale --base build-base/build/bench/scale_sweep \
+    --fresh build-ci/bench/scale_sweep --record BENCH_scale.json \
+    --workdir build-ci
 
 echo "=== [8/10] ecc chaos: memory failures under the invariant checker ==="
 # The BFS side: the memory-failure end-to-end tests replay an
@@ -223,24 +178,7 @@ MEMTIER_CHECK_INVARIANTS=ON \
     --levels=0.25 --trials=1 \
     --out=build-ci/BENCH_degradation_ci.json \
     --csv=build-ci/degradation_ci.csv > /dev/null
-python3 - build-ci/degradation_ci.csv <<'EOF'
-import csv, sys
-rows = {float(r["ce_prob"]): r for r in csv.DictReader(open(sys.argv[1]))}
-base, hot = rows[0.0], rows[0.25]
-for key in ("frames_retired", "soft_offline", "sigbus", "errors"):
-    if int(base[key]) != 0:
-        sys.exit(f"ecc gate FAILED: healthy baseline has {key}="
-                 f"{base[key]} (must be 0)")
-    if int(hot[key]) == 0:
-        sys.exit(f"ecc gate FAILED: hot cell has {key}=0 "
-                 "(the ECC plan injected nothing)")
-if float(hot["availability"]) >= 1.0:
-    sys.exit("ecc gate FAILED: hot cell reports full availability "
-             "despite SIGBUS kills")
-print(f"ecc gate: {hot['frames_retired']} frames retired, "
-      f"{hot['sigbus']} SIGBUS kills, availability "
-      f"{float(hot['availability']):.4f} (baseline clean)")
-EOF
+python3 tools/gate.py ecc build-ci/degradation_ci.csv
 
 echo "=== [9/10] autotune: tuner smoke + tuned-vs-default perf gate ==="
 # Smoke: one graph cell and one serving cell under the invariant
@@ -252,42 +190,12 @@ MEMTIER_CHECK_INVARIANTS=ON \
     --workload pr:kron --workload kv:kron \
     --out=build-ci/BENCH_autotune_smoke.json \
     --csv=build-ci/autotune_smoke.csv > /dev/null
-python3 - build-ci/BENCH_autotune_smoke.json <<'EOF'
-import json, sys
-cells = json.load(open(sys.argv[1]))["cells"]
-for c in cells:
-    if c["tuner_applied"] < 1:
-        sys.exit(f"autotune smoke FAILED: tuner moved no tunable on "
-                 f"{c['workload']} (epochs={c['tuner_epochs']})")
-print("autotune smoke: " +
-      ", ".join(f"{c['workload']} applied {c['tuner_applied']} "
-                f"(accepted {c['tuner_accepted']})" for c in cells) +
-      " under the invariant checker")
-EOF
+python3 tools/gate.py autotune-smoke build-ci/BENCH_autotune_smoke.json
 # Perf gate on the committed record: the bench is fully deterministic
 # (seeded tuner, cycle clock), so the committed cells are exactly
 # reproducible via run_benches.sh. Online tuning must never lose to
 # the static default, and must keep a real win somewhere.
-python3 - BENCH_autotune.json <<'EOF'
-import json, sys
-cells = json.load(open(sys.argv[1]))["cells"]
-if len(cells) < 3:
-    sys.exit("autotune gate FAILED: fewer than 3 committed cells")
-worst = min(cells, key=lambda c: c["speedup"])
-best = max(cells, key=lambda c: c["speedup"])
-for c in cells:
-    print(f"autotune gate: {c['workload']} tuned/default "
-          f"{c['speedup']:.3f}x")
-if worst["speedup"] < 1.0:
-    sys.exit(f"autotune gate FAILED: tuned autonuma lost to the "
-             f"default on {worst['workload']} "
-             f"({worst['speedup']:.3f}x; refresh the baseline via "
-             f"run_benches.sh if the change is intentional)")
-if best["speedup"] <= 1.05:
-    sys.exit(f"autotune gate FAILED: best committed win is only "
-             f"{best['speedup']:.3f}x (need >1.05x on at least one "
-             f"cell)")
-EOF
+python3 tools/gate.py autotune BENCH_autotune.json
 
 echo "=== [10/10] benchmark: perfbench gtests ==="
 python3 perfbench/run.py --test

@@ -1,12 +1,13 @@
 /**
  * @file
  * Unit tests for the experiment harness helpers: report formatting,
- * workload registry, the dataset cache, the policy plane's goldens and
- * the benches' integer flag parser.
+ * workload registry, the dataset cache, the policy plane's goldens,
+ * the benches' integer flag parser and their record writer.
  */
 
 #include <climits>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -303,6 +304,97 @@ TEST(BenchArgs, StrictIntegerParser)
             benchScale();
         },
         rejects, "MEMTIER_SCALE=\"26\"");
+}
+
+// ---------------------------------------------------------- bench record
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(BenchRecord, DoublesPrintAsOstreamDoes)
+{
+    for (const double v : {1.00904e7, 0.469983, 2.0, 1e-9, 0.1 + 0.2,
+                           123456789.0}) {
+        std::ostringstream want;
+        want << "{\n  \"v\": " << v << "\n}\n";
+        EXPECT_EQ(BenchRecord().set("v", v).json(), want.str());
+    }
+}
+
+TEST(BenchRecord, ExactIntegersAndEscapedStrings)
+{
+    BenchRecord rec;
+    rec.set("checksum", (std::uint64_t{1} << 53) + 1)
+        .set("delta", std::int64_t{-5})
+        .set("s", "a\"b\\c\n")
+        .set("ok", true);
+    EXPECT_EQ(rec.json(), "{\n"
+                          "  \"checksum\": 9007199254740993,\n"
+                          "  \"delta\": -5,\n"
+                          "  \"s\": \"a\\\"b\\\\c\\u000a\",\n"
+                          "  \"ok\": true\n"
+                          "}\n");
+}
+
+TEST(BenchRecord, RowsCarryANestedObject)
+{
+    BenchRecord rec;
+    rec.set("bench", "t");
+    BenchRecord &row = rec.addRow("cells").set("p", 1);
+    row.object("phases").object("peak").set("requests", 3);
+    rec.addRow("cells").set("p", 2);
+    EXPECT_EQ(rec.json(), "{\n"
+                          "  \"bench\": \"t\",\n"
+                          "  \"cells\": [\n"
+                          "    {\"p\": 1, \"phases\": {\"peak\": "
+                          "{\"requests\": 3}}},\n"
+                          "    {\"p\": 2}\n"
+                          "  ]\n"
+                          "}\n");
+}
+
+TEST(BenchRecord, CsvGoesThroughCsvWriter)
+{
+    BenchRecord rec;
+    rec.addRow("cells")
+        .set("name", "a,b")
+        .set("thp", true)
+        .set("x", 0.25)
+        .object("json_only")
+        .set("y", 1);
+    rec.addRow("cells").set("name", "say \"hi\"").set("thp", false).set(
+        "x", 3.0);
+    const std::string path = ::testing::TempDir() + "bench_record.csv";
+    rec.writeCsv("cells", path);
+    EXPECT_EQ(readFile(path), "name,thp,x\n"
+                              "\"a,b\",1,0.25\n"
+                              "\"say \"\"hi\"\"\",0,3\n");
+}
+
+TEST(BenchRecord, JsonFileIsStampedWithTheHost)
+{
+    const std::string path = ::testing::TempDir() + "bench_record.json";
+    BenchRecord().set("bench", "t").writeJson(path);
+    const std::string text = readFile(path);
+    EXPECT_NE(text.find("\"host\": {\"cpu\": \""), std::string::npos);
+    EXPECT_NE(text.find("\"cores\": "), std::string::npos);
+}
+
+TEST(BenchRecord, FailedWritesAreFatalAndNameThePath)
+{
+    BenchRecord rec;
+    rec.addRow("cells").set("a", 1);
+    const auto fails = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(rec.writeJson("/dev/full"), fails, "/dev/full");
+    EXPECT_EXIT(rec.writeCsv("cells", "/dev/full"), fails, "/dev/full");
+    EXPECT_EXIT(rec.writeJson("/nonexistent/bench.json"), fails,
+                "/nonexistent/bench.json");
 }
 
 }  // namespace
